@@ -10,13 +10,13 @@ back to dispatching the remaining work through
 :func:`repro.runtime.executor.run_campaign`, inheriting ``--jobs``
 sharding, block batching, and deterministic seeding.
 
-Two scale features ride on the packed store backend
+Two scale features ride on the store's packed shards
 (:mod:`repro.runtime.shards`):
 
 - **zero-copy reads** — cached fetches pass ``mmap=True`` to the store,
-  so array fields of packed records arrive as read-only views into the
-  shard's memory map; stacking a ``(B, P, S)`` timing batch then gathers
-  straight from the mapped pages with no per-record intermediate copy.
+  so array fields arrive as read-only views into the shard's memory
+  map; stacking a ``(B, P, S)`` timing batch then gathers straight from
+  the mapped pages with no per-record intermediate copy.
 - **streaming** — :func:`stream_campaign` yields a fully-cached
   campaign's values in fixed-size blocks, loading each block only when
   the consumer reaches it: a report over a huge sweep holds one grid
@@ -54,16 +54,6 @@ class CampaignFetch:
         return len(self.values)
 
 
-def _store_get(store, key: str, mmap: bool) -> "Mapping | None":
-    """One store lookup, zero-copy when asked for and supported."""
-    if mmap:
-        try:
-            return store.get(key, mmap=True)
-        except TypeError:  # store-like test double without the kwarg
-            return store.get(key)
-    return store.get(key)
-
-
 def load_cached(
     store: "ResultStore | None", specs: "Sequence[RunSpec]",
     mmap: bool = False,
@@ -73,12 +63,12 @@ def load_cached(
     Returns ``(values, missing)``: ``values`` has one entry per task in
     order (``None`` on a miss), ``missing`` lists the specs that need
     dispatching.  With no store, everything is missing.  ``mmap=True``
-    requests zero-copy (read-only) array views for packed records.
+    requests zero-copy (read-only) array views.
     """
     if store is None:
         return [None] * len(specs), list(specs)
     values: "list[Mapping | None]" = [
-        _store_get(store, spec.key, mmap) for spec in specs
+        store.get(spec.key, mmap=mmap) for spec in specs
     ]
     missing = [spec for spec, value in zip(specs, values) if value is None]
     return values, missing
@@ -133,9 +123,9 @@ class CampaignStream:
     """A campaign's values, deliverable block by block.
 
     On the fully-cached path the stream is *lazy*: each block's records
-    are loaded (``mmap`` zero-copy for packed records) only when the
-    consumer reaches it, and nothing retains them afterwards — peak
-    memory is one block, however large the sweep.  Any cache miss
+    are loaded (``mmap`` zero-copy) only when the consumer reaches it,
+    and nothing retains them afterwards — peak memory is one block,
+    however large the sweep.  Any cache miss
     degrades to one eager :func:`fetch_campaign` over the whole spec
     list (execution has to materialize those values anyway), after which
     blocks are served as slices.
@@ -181,7 +171,7 @@ class CampaignStream:
         for start in range(0, len(self.specs), size):
             block = []
             for spec in self.specs[start:start + size]:
-                value = _store_get(self.store, spec.key, self.mmap)
+                value = self.store.get(spec.key, mmap=self.mmap)
                 if value is None:
                     # The presence probe raced a gc/teardown: recompute
                     # just this task through the executor.

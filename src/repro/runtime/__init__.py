@@ -16,10 +16,9 @@ into first-class, schedulable work:
   across cores, stream results back as they complete, and isolate
   per-task failures instead of killing the campaign.
 - :mod:`repro.runtime.store` — a content-addressed on-disk result store
-  (packed append-only shards with a sidecar index and mmap reads, plus
-  the legacy JSON + NPZ per-file layout, keyed by the task hash) so
-  repeated invocations skip already-computed runs.
-- :mod:`repro.runtime.shards` — the packed shard backend: per-process
+  (packed append-only shards with a sidecar index and mmap reads, keyed
+  by the task hash) so repeated invocations skip already-computed runs.
+- :mod:`repro.runtime.shards` — the store's shard format: per-process
   append-only shard files, index recovery from self-describing entries,
   and zero-copy array reconstruction over memory maps.
 - :mod:`repro.runtime.aggregate` — reduction helpers (mean / percentile

@@ -7,15 +7,14 @@
     repro-experiment store gc --cache-dir DIR [--dry-run]
 
 ``ls`` lists every cached task result with its spec key, owning task
-function, derived seed, and on-disk size — packed shard records straight
-from the shard indexes, per-file records via their trailing headers.
-``migrate`` packs the per-file records into append-only shards (get()
-results stay byte-identical; the originals remain until ``gc`` prunes
-them).  ``gc`` prunes unreferenced blobs — orphaned NPZ side-cars,
-unreadable/torn JSON records, valid records whose NPZ side-car is
-corrupt, packed-over per-file originals, temp files abandoned by
-interrupted writes, telemetry JSONL no ledger record references, and
-torn run-ledger records — without ever touching a live record.
+function, derived seed, and on-disk size, straight from the shard
+indexes.  ``migrate`` packs the per-file records older versions wrote
+into the store's shards (get() returns what the record held; the
+originals remain until ``gc`` prunes them) — until then such a cache
+reads as misses.  ``gc`` prunes unreferenced files — per-file records
+already packed or unreadable, temp files abandoned by interrupted
+writes, telemetry JSONL no ledger record references, and torn
+run-ledger records — without ever touching a live record.
 """
 
 from __future__ import annotations
@@ -51,22 +50,22 @@ def build_store_parser() -> argparse.ArgumentParser:
                       help="machine-readable output")
 
     p_mig = sub.add_parser("migrate",
-                           help="pack per-file records into append-only "
-                                "shards (byte-identical reads)")
+                           help="pack per-file records of older versions "
+                                "into shards (byte-identical reads)")
     p_mig.add_argument("--cache-dir", required=True, metavar="DIR",
                        help="result store directory")
     p_mig.add_argument("--dry-run", action="store_true",
                        help="report what would be packed without writing")
 
-    p_gc = sub.add_parser("gc", help="prune unreferenced blobs "
-                                     "(orphan NPZ, torn records, temp files)")
+    p_gc = sub.add_parser("gc", help="prune unreferenced files (packed or "
+                                     "torn per-file records, temp files)")
     p_gc.add_argument("--cache-dir", required=True, metavar="DIR",
                       help="result store directory")
     p_gc.add_argument("--dry-run", action="store_true",
                       help="report what would be removed without deleting")
     p_gc.add_argument("--min-age", type=float, default=3600.0,
                       metavar="SECONDS",
-                      help="spare temp files/orphan blobs younger than this "
+                      help="spare files younger than this "
                            "(a concurrent campaign may be mid-write; "
                            "default 3600)")
     return parser
@@ -81,7 +80,7 @@ def _cmd_ls(args) -> int:
                 {"key": e.key, "fn": e.fn, "seed": e.seed,
                  "n_arrays": e.n_arrays, "json_bytes": e.json_bytes,
                  "npz_bytes": e.npz_bytes, "total_bytes": e.total_bytes,
-                 "mtime": e.mtime, "packed": e.packed}
+                 "mtime": e.mtime}
                 for e in entries
             ],
             indent=2,
@@ -92,13 +91,11 @@ def _cmd_ls(args) -> int:
         return 0
     for e in entries:
         arrays = f" +{e.n_arrays} array(s)" if e.n_arrays else ""
-        packed = " [packed]" if e.packed else ""
         print(f"{e.key}  {_human_bytes(e.total_bytes):>10}  "
-              f"{e.fn or '(no spec)'}{arrays}{packed}")
+              f"{e.fn or '(no spec)'}{arrays}")
     total = sum(e.total_bytes for e in entries)
-    n_packed = sum(1 for e in entries if e.packed)
-    print(f"[{len(entries)} result(s) ({n_packed} packed), "
-          f"{_human_bytes(total)} in {store.root}]")
+    print(f"[{len(entries)} result(s), {_human_bytes(total)} in "
+          f"{store.root}]")
     return 0
 
 
@@ -117,11 +114,9 @@ def _cmd_gc(args) -> int:
     store = ResultStore(args.cache_dir)
     stats = store.gc(dry_run=args.dry_run, min_age_s=args.min_age)
     verb = "would remove" if args.dry_run else "removed"
-    print(f"[{verb} {stats.n_removed} file(s): {stats.n_orphan_npz} orphan "
-          f"NPZ, {stats.n_corrupt} torn record(s), "
-          f"{stats.n_corrupt_npz} corrupt-NPZ pair(s), "
-          f"{stats.n_migrated} packed original(s), {stats.n_tmp} temp "
-          f"file(s), {stats.n_orphan_telemetry} orphan telemetry, "
+    print(f"[{verb} {stats.n_removed} file(s): {stats.n_legacy} legacy "
+          f"per-file, {stats.n_tmp} temp file(s), "
+          f"{stats.n_orphan_telemetry} orphan telemetry, "
           f"{stats.n_torn_runs} torn run record(s); "
           f"{_human_bytes(stats.bytes_freed)} freed]")
     return 0

@@ -1,9 +1,11 @@
-"""Packed shard backend for the result store: append-only files + index.
+"""Packed shards: the result store's on-disk format (append-only files + index).
 
-A *shard* is an append-only file of packed result records.  Each entry
-is self-describing — a fixed binary header, a length-prefixed JSON
-record (plain fields, spec provenance, and array descriptors), and a raw
-array segment holding every ndarray field's bytes::
+Every record :class:`repro.runtime.store.ResultStore` holds lives in a
+shard under ``<root>/shards/``.  A *shard* is an append-only file of
+packed result records.  Each entry is self-describing — a fixed binary
+header, a length-prefixed JSON record (plain fields, spec provenance,
+and array descriptors), and a raw array segment holding every ndarray
+field's bytes::
 
     offset 0   magic          b"RPS1"
     offset 4   crc32          of the JSON payload (uint32 LE)
@@ -62,12 +64,11 @@ class StoreError(RuntimeError):
 
     Raised when the cache directory is unwritable (``ResultStore.
     ensure_writable`` — the CLIs call it before starting a campaign) and
-    when a write fails mid-run (disk full, permissions yanked).  Write
-    failures leave the store consistent: per-file writes are atomic, and
-    a failed packed-shard append truncates back to the entry start so
-    the sidecar index never points at torn bytes.  Defined here (the
-    lowest store layer) and re-exported by :mod:`repro.runtime.store`,
-    its public home.
+    when a write fails (a shard that cannot be opened, disk full,
+    permissions yanked).  Write failures leave the store consistent: a
+    failed append truncates back to the entry start so the sidecar index
+    never points at torn bytes.  Defined here (the lowest store layer)
+    and re-exported by :mod:`repro.runtime.store`, its public home.
     """
 
 #: On-disk format version, recorded in every entry's JSON record.  Bump
@@ -141,8 +142,7 @@ def _reconstruct(buf, descr: Mapping, base_offset: int,
     """Rebuild one array from its descriptor over a buffer (mmap or bytes).
 
     With ``copy=False`` the result is a read-only view into ``buf``;
-    with ``copy=True`` it is a fresh writable array, matching what
-    ``np.load`` returns for the legacy per-file layout.
+    with ``copy=True`` it is a fresh writable array.
     """
     dtype = np.lib.format.descr_to_dtype(descr["dtype"])
     shape = tuple(descr["shape"])
@@ -266,7 +266,12 @@ class PackedShards:
             record["spec"] = dict(spec)
         payload = json.dumps(record, sort_keys=True).encode("utf-8")
 
-        _, name, shard_fh, idx_fh = self._writer_handles()
+        try:
+            _, name, shard_fh, idx_fh = self._writer_handles()
+        except OSError as exc:
+            raise StoreError(
+                f"packed-shard append of {key!r} failed: cannot open a shard "
+                f"under {self.root}: {exc}") from exc
         offset = shard_fh.tell()
         try:
             shard_fh.write(_HEADER.pack(_MAGIC, zlib.crc32(payload),
@@ -474,6 +479,17 @@ class PackedShards:
             entry = self._index.get(key)
         return entry
 
+    def entry_bytes(self, key: str) -> "bytes | None":
+        """A key's exact on-disk entry — header, JSON and array segment —
+        or ``None`` if the key is absent.  Byte-parity checks between two
+        stores compare these."""
+        entry = self.lookup(key)
+        if entry is None:
+            return None
+        with open(self.root / entry.shard, "rb") as fh:
+            fh.seek(entry.offset)
+            return fh.read(entry.end - entry.offset)
+
     def _mmap_for(self, shard: str, needed: int):
         """A (cached) read-only memory map covering at least ``needed``."""
         cached = self._mmaps.get(shard)
@@ -491,8 +507,7 @@ class PackedShards:
         ``value`` is the caller-facing result dict (plain fields plus
         reconstructed arrays).  With ``mmap=True`` the arrays are
         read-only zero-copy views into the shard's memory map; the
-        default returns fresh writable copies, byte-identical to what
-        the legacy per-file layout's ``np.load`` would produce.
+        default returns fresh writable copies.
         """
         entry = self.lookup(key)
         if entry is None:

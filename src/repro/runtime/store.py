@@ -6,25 +6,20 @@ same function, parameters, and derived seed — finds its results already
 on disk and skips the simulation entirely, while any change to the spec
 transparently misses the cache.
 
-Two layouts implement that address space:
+Results live in packed shards (:mod:`repro.runtime.shards`): append-only
+shard files of length-prefixed records with raw array segments, a
+sidecar index per shard, and memory-mapped zero-copy reads.  Listing a
+10k-record store parses a handful of index files instead of touching
+10k records.  Every writing process appends to its own shard file, so
+concurrent campaign processes sharing one cache directory never observe
+torn records.
 
-- **per-file** (the legacy layout): one JSON record per task under a
-  two-level fan-out, plus an optional ``.npz`` side-car for ndarray
-  fields.  Simple and greppable, but at campaign scale the directory
-  scans and per-file open/parse dominate.
-- **packed** (:mod:`repro.runtime.shards`): append-only shard files of
-  length-prefixed records with raw array segments, a sidecar index per
-  shard, and memory-mapped zero-copy reads.  Listing a 10k-record store
-  parses a handful of index files instead of touching 10k records.
-
-A store auto-detects the packed layout (a ``shards/`` directory under
-the root activates it for writes), keeps **legacy records readable
-forever**, and :meth:`ResultStore.migrate` packs them — byte-identical
-``get()`` results before and after, with :meth:`ResultStore.gc` pruning
-the packed originals.  Writes are concurrent-multi-writer safe in both
-layouts: per-file writes are atomic (temp file + ``os.replace``) and
-packed writes go to per-process shard files, so concurrent campaign
-processes sharing one cache directory never observe torn records.
+Caches written by older versions hold one JSON record per task under a
+two-level fan-out (``<key[:2]>/<key>.json``) plus an ``.npz`` side-car
+for ndarray fields.  The store does not read them: they are import
+input for :meth:`ResultStore.migrate`, which packs them with
+byte-identical ``get()`` results, after which :meth:`ResultStore.gc`
+prunes the originals.  Until then such a cache reads as misses.
 """
 
 from __future__ import annotations
@@ -47,15 +42,21 @@ from repro.runtime.shards import PackedShards, SHARD_DIR, StoreError
 __all__ = ["GcStats", "MigrateStats", "ResultStore", "StoreEntry",
            "StoreError"]
 
-_FORMAT_VERSION = 1
 _ARRAYS_MARKER = "__arrays__"
+_KEY_CHARS = frozenset("0123456789abcdef")
 
-#: Exceptions a corrupt/truncated NPZ side-car can raise from ``np.load``
-#: or member access.  ``zipfile.BadZipFile`` (garbage/torn zip) and
-#: ``ValueError`` (damaged npy member, pickled payloads with
-#: ``allow_pickle=False``) are *not* ``OSError`` subclasses — a handler
-#: missing them turns one corrupt side-car into a crashed campaign.
-_NPZ_ERRORS = (OSError, KeyError, ValueError, zipfile.BadZipFile)
+#: Exceptions an unreadable per-file record can raise.  ``zipfile.
+#: BadZipFile`` (garbage/torn zip) and ``ValueError`` (torn JSON, damaged
+#: npy member) are *not* ``OSError`` subclasses; ``AttributeError`` and
+#: ``TypeError`` cover JSON that parses to something other than a record.
+_LEGACY_ERRORS = (OSError, KeyError, ValueError, TypeError, AttributeError,
+                  zipfile.BadZipFile)
+
+
+def _check_key(key: str) -> None:
+    """Reject anything but a lowercase hex content hash."""
+    if len(key) < 2 or not _KEY_CHARS.issuperset(key):
+        raise ValueError(f"malformed store key: {key!r}")
 
 
 def _split_arrays(value: Mapping) -> "tuple[dict, dict]":
@@ -73,16 +74,36 @@ def _split_arrays(value: Mapping) -> "tuple[dict, dict]":
     return plain, arrays
 
 
+def _read_legacy(path: Path) -> "tuple[dict, dict] | None":
+    """``(record, value)`` of one per-file record, or ``None`` if unreadable.
+
+    ``path`` is a ``<key[:2]>/<key>.json`` record of
+    ``{"version", "key", "value", "__arrays__", "spec"}``; the fields
+    ``__arrays__`` names live in the ``<key>.npz`` side-car next to it.
+    A torn record, or a missing, corrupt or truncated side-car, makes
+    the whole record unreadable.
+    """
+    try:
+        record = json.loads(path.read_text())
+        value = dict(record.get("value", {}))
+        fields = record.get(_ARRAYS_MARKER, [])
+        if fields:
+            with np.load(path.with_suffix(".npz")) as npz:
+                for name in fields:
+                    value[name] = npz[name]
+    except _LEGACY_ERRORS:
+        return None
+    return record, value
+
+
 @dataclass(frozen=True)
 class StoreEntry:
     """Metadata of one stored result (no array payloads loaded).
 
     ``fn`` and ``seed`` come from the provenance ``spec`` the executor
     records next to each value; they are ``None`` for records written
-    without one.  For per-file records, sizes and ``mtime`` come from
-    ``stat()``; for packed records, sizes come from the shard index and
-    ``mtime`` is the owning shard file's.  Listing a store never reads
-    result payloads in either layout.
+    without one.  Sizes come from the shard index (``npz_bytes`` is the
+    array segment) and ``mtime`` is the owning shard file's.
     """
 
     key: str
@@ -92,7 +113,6 @@ class StoreEntry:
     seed: "int | None"
     n_arrays: int
     mtime: float = 0.0
-    packed: bool = False
 
     @property
     def total_bytes(self) -> int:
@@ -103,20 +123,16 @@ class StoreEntry:
 class GcStats:
     """What one :meth:`ResultStore.gc` pass removed."""
 
-    n_orphan_npz: int  # .npz side-cars whose JSON record is gone
-    n_corrupt: int  # unreadable/torn JSON records (and their side-cars)
+    n_legacy: int  # per-file files already packed or unreadable
     n_tmp: int  # temp files abandoned by interrupted writes
     bytes_freed: int
     n_orphan_telemetry: int = 0  # telemetry/ files no ledger record names
     n_torn_runs: int = 0  # unreadable runs/ ledger records
-    n_corrupt_npz: int = 0  # valid-JSON records with an unreadable side-car
-    n_migrated: int = 0  # per-file originals already packed into shards
 
     @property
     def n_removed(self) -> int:
-        return (self.n_orphan_npz + self.n_corrupt + self.n_tmp
-                + self.n_orphan_telemetry + self.n_torn_runs
-                + self.n_corrupt_npz + self.n_migrated)
+        return (self.n_legacy + self.n_tmp + self.n_orphan_telemetry
+                + self.n_torn_runs)
 
 
 @dataclass(frozen=True)
@@ -136,161 +152,70 @@ class MigrateStats:
 class ResultStore:
     """A directory of task results addressed by spec content hash.
 
-    Parameters
-    ----------
-    root:
-        Cache directory (created on first write; ``~`` is expanded).
-    layout:
-        ``"auto"`` (default) writes packed records iff the store has a
-        ``shards/`` directory (i.e. was migrated or born packed) and
-        per-file records otherwise; ``"packed"`` / ``"file"`` force a
-        layout for new writes.  Reads always consult both layouts.
+    ``root`` is the cache directory (created on first write; ``~`` is
+    expanded).
     """
 
-    _LAYOUTS = ("auto", "file", "packed")
-
-    def __init__(self, root: "str | Path", layout: str = "auto") -> None:
+    def __init__(self, root: "str | Path") -> None:
         self.root = Path(root).expanduser()
-        if layout not in self._LAYOUTS:
-            raise ValueError(
-                f"layout must be one of {self._LAYOUTS}, got {layout!r}")
-        self.layout = layout
         self._shards = PackedShards(self.root / SHARD_DIR)
 
-    # -- addressing ---------------------------------------------------
-
-    def path_for(self, key: str) -> Path:
-        """JSON record path for a content hash (two-level fan-out).
-
-        Keys shorter than the two-character fan-out prefix are rejected:
-        they would be writable but invisible to ``keys()``/``gc()``.
-        """
-        if len(key) < 2 or any(c not in "0123456789abcdef" for c in key):
-            raise ValueError(f"malformed store key: {key!r}")
-        return self.root / key[:2] / f"{key}.json"
-
-    def _npz_path(self, key: str) -> Path:
-        return self.path_for(key).with_suffix(".npz")
-
-    @property
-    def packed_active(self) -> bool:
-        """Whether new writes go to packed shards."""
-        if self.layout == "packed":
-            return True
-        if self.layout == "file":
-            return False
-        return self._shards.exists
-
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists() or key in self._shards
+        _check_key(key)
+        return key in self._shards
 
     # -- read ---------------------------------------------------------
 
     def get(self, key: str, mmap: bool = False) -> "dict | None":
         """Load the stored result for ``key``, or ``None`` on a miss.
 
-        A record whose bytes are unreadable — JSON torn by a crash
-        predating the atomic-write path, a corrupt/truncated NPZ
-        side-car, a torn shard tail — counts as a miss: the task is
-        simply recomputed and the record rewritten.
+        A record whose bytes are unreadable (a torn shard tail) counts
+        as a miss: the task is simply recomputed and the record
+        rewritten.
 
-        With ``mmap=True``, array fields of *packed* records are
-        returned as read-only zero-copy views into the shard's memory
-        map (per-file records still load normally); callers that mutate
+        With ``mmap=True``, array fields are returned as read-only
+        zero-copy views into the shard's memory map; callers that mutate
         result arrays must use the default copying read.
         """
+        _check_key(key)
         with telemetry.span("store.get") as sp:
-            packed = self._shards.read(key, mmap=mmap) \
-                if self._shards.exists else None
-            if packed is not None:
-                record, value = packed
-                telemetry.count("store.get.hits")
-                entry = self._shards.lookup(key)
-                nbytes = (entry.json_len + entry.arr_len) if entry else 0
-                telemetry.count("store.read_bytes", nbytes)
-                sp.set(bytes=nbytes, n_arrays=len(record.get("arrays", {})),
-                       packed=True)
-                return value
-            path = self.path_for(key)
-            try:
-                text = path.read_text()
-                record = json.loads(text)
-            except (OSError, json.JSONDecodeError):
+            found = self._shards.read(key, mmap=mmap)
+            if found is None:
                 telemetry.count("store.get.misses")
                 return None
-            value = dict(record.get("value", {}))
-            array_fields = record.get(_ARRAYS_MARKER, [])
-            if array_fields:
-                try:
-                    with np.load(self._npz_path(key)) as npz:
-                        for name in array_fields:
-                            value[name] = npz[name]
-                except _NPZ_ERRORS:
-                    telemetry.count("store.get.misses")
-                    return None
+            record, value = found
+            entry = self._shards.lookup(key)
+            nbytes = (entry.json_len + entry.arr_len) if entry else 0
             telemetry.count("store.get.hits")
-            telemetry.count("store.read_bytes", len(text))
-            sp.set(bytes=len(text), n_arrays=len(array_fields))
+            telemetry.count("store.read_bytes", nbytes)
+            sp.set(bytes=nbytes, n_arrays=len(record.get("arrays", {})))
         return value
 
     # -- write --------------------------------------------------------
 
     def put(self, key: str, value: Mapping, spec: "Mapping | None" = None) -> Path:
-        """Persist one task result; returns the record (or shard) path.
+        """Persist one task result; returns the shard path.
 
         ``value`` must be a mapping of str field names to JSON-able data
         or :class:`numpy.ndarray`.  ``spec`` (e.g. ``RunSpec.describe()``)
         is recorded alongside for provenance and debuggability.  The
-        write is concurrency-safe in both layouts (atomic replace for
-        per-file records, a per-process append-only shard for packed
-        ones).
+        write goes to this process's own append-only shard, so it is
+        safe under concurrent writers.
         """
         if not isinstance(value, Mapping):
             raise TypeError(
                 f"task results must be mappings, got {type(value).__name__}; "
                 "return a dict of named fields from the task function"
             )
-        self.path_for(key)  # validate the key in either layout
+        _check_key(key)
         with telemetry.span("store.put") as sp:
             plain, arrays = _split_arrays(value)
-            if self.packed_active:
-                path = self._shards.append(key, plain, arrays, spec=spec)
-                entry = self._shards.lookup(key)
-                nbytes = (entry.json_len + entry.arr_len) if entry else 0
-                telemetry.count("store.puts")
-                telemetry.count("store.write_bytes", nbytes)
-                sp.set(bytes=nbytes, n_arrays=len(arrays), packed=True)
-                return path
-            path = self.path_for(key)
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                if arrays:
-                    self._atomic_write(
-                        self._npz_path(key),
-                        lambda fh: np.savez_compressed(fh, **arrays),
-                        binary=True,
-                    )
-                record = {
-                    "version": _FORMAT_VERSION,
-                    "key": key,
-                    "value": plain,
-                    _ARRAYS_MARKER: sorted(arrays),
-                }
-                if spec is not None:
-                    record["spec"] = dict(spec)
-                text = json.dumps(record, indent=1)
-                self._atomic_write(path, lambda fh: fh.write(text))
-            except OSError as exc:
-                # Full disk, revoked permissions, dead mount.  The
-                # atomic-write path already unlinked its temp file, so no
-                # torn record exists — surface one typed error instead of
-                # a backend-specific OSError mid-campaign.
-                raise StoreError(
-                    f"result store write of {key!r} under {self.root} "
-                    f"failed: {exc}") from exc
+            path = self._shards.append(key, plain, arrays, spec=spec)
+            entry = self._shards.lookup(key)
+            nbytes = (entry.json_len + entry.arr_len) if entry else 0
             telemetry.count("store.puts")
-            telemetry.count("store.write_bytes", len(text))
-            sp.set(bytes=len(text), n_arrays=len(arrays))
+            telemetry.count("store.write_bytes", nbytes)
+            sp.set(bytes=nbytes, n_arrays=len(arrays))
         return path
 
     def ensure_writable(self) -> None:
@@ -312,63 +237,45 @@ class ResultStore:
                 f"cache directory {self.root} is not writable: {exc}"
             ) from exc
 
-    def _atomic_write(self, path: Path, writer, binary: bool = False) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-        try:
-            with os.fdopen(fd, "wb" if binary else "w") as fh:
-                writer(fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     # -- migration ----------------------------------------------------
+
+    def _legacy_records(self) -> "list[Path]":
+        """The per-file JSON records under the root's two-level fan-out."""
+        return sorted(self.root.glob("??/*.json"))
 
     def migrate(self, dry_run: bool = False) -> MigrateStats:
         """Pack every readable per-file record into shards.
 
-        The per-file originals are left in place (a concurrent reader
-        may be mid-``get``); :meth:`gc` prunes any original whose key is
-        already packed.  ``get()`` results are byte-identical before and
-        after — plain fields round-trip through canonical JSON and array
-        fields through their raw bytes with dtype/shape/order preserved.
-        Unreadable records are skipped (they were already misses) and
-        left for :meth:`gc`.
+        The per-file originals are left in place; :meth:`gc` prunes any
+        original whose key is already packed.  ``get()`` after migration
+        returns exactly what the per-file record held — plain fields
+        round-trip through canonical JSON and array fields through their
+        raw bytes with dtype/shape/order preserved.  Unreadable records
+        are skipped and left for :meth:`gc`.
 
         With ``dry_run`` nothing is written and the stats report what a
         real pass would pack.
         """
         n_packed = n_already = n_skipped = packed_bytes = 0
         with telemetry.span("store.migrate") as sp:
-            for key in self._file_keys():
+            for path in self._legacy_records():
+                key = path.stem
                 if key in self._shards:
                     n_already += 1
                     continue
-                path = self.path_for(key)
-                try:
-                    record = json.loads(path.read_text())
-                    value = dict(record.get("value", {}))
-                    nbytes = path.stat().st_size
-                    array_fields = record.get(_ARRAYS_MARKER, [])
-                    if array_fields:
-                        npz_path = self._npz_path(key)
-                        with np.load(npz_path) as npz:
-                            for name in array_fields:
-                                value[name] = npz[name]
-                        nbytes += npz_path.stat().st_size
-                except (*_NPZ_ERRORS, json.JSONDecodeError):
+                legacy = _read_legacy(path)
+                if legacy is None:
                     n_skipped += 1
                     continue
+                record, value = legacy
                 if not dry_run:
                     plain, arrays = _split_arrays(value)
                     self._shards.append(key, plain, arrays,
                                         spec=record.get("spec"))
                 n_packed += 1
-                packed_bytes += nbytes
+                packed_bytes += path.stat().st_size
+                if record.get(_ARRAYS_MARKER):
+                    packed_bytes += path.with_suffix(".npz").stat().st_size
             sp.set(n_packed=n_packed, n_already=n_already,
                    n_skipped=n_skipped)
             telemetry.count("store.migrate.packed", n_packed)
@@ -377,22 +284,9 @@ class ResultStore:
 
     # -- maintenance --------------------------------------------------
 
-    def _file_keys(self) -> "Iterator[str]":
-        """Content hashes stored in the per-file layout."""
-        if not self.root.exists():
-            return
-        for path in sorted(self.root.glob("??/*.json")):
-            yield path.stem
-
     def keys(self) -> Iterator[str]:
-        """All content hashes currently stored (both layouts, deduped)."""
-        packed = set(self._shards.keys()) if self._shards.exists else set()
-        seen = set()
-        for key in self._file_keys():
-            seen.add(key)
-            yield key
-        for key in sorted(packed - seen):
-            yield key
+        """All content hashes currently stored, sorted."""
+        return self._shards.keys()
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
@@ -400,166 +294,66 @@ class ResultStore:
     def clear(self) -> int:
         """Delete every stored record; returns how many keys were removed.
 
-        Unlike :meth:`gc`, this is unconditional: both layouts, orphaned
-        ``.npz`` side-cars whose JSON record is already gone, and the
-        emptied fan-out directories are all removed.
+        Unlike :meth:`gc`, this is unconditional.  Unmigrated per-file
+        records are not stored records and are left alone.
         """
-        removed: "set[str]" = set()
-        for path in list(self.root.glob("??/*.json")) \
-                + list(self.root.glob("??/*.npz")):
-            removed.add(path.stem)
-            path.unlink(missing_ok=True)
-        for sub in self.root.glob("??"):
-            if sub.is_dir() and not any(sub.iterdir()):
-                sub.rmdir()
-        if self._shards.exists:
-            removed.update(self._shards.keys())
-            self._shards._close_writer()
-            shutil.rmtree(self._shards.root, ignore_errors=True)
-            self._shards = PackedShards(self.root / SHARD_DIR)
-        return len(removed)
-
-    #: How much of a record's tail to read when listing it.  The header
-    #: fields (``__arrays__`` + ``spec``) are written after the payload,
-    #: so they live in the last few KB of even multi-megabyte records.
-    _HEADER_TAIL_BYTES = 65536
-
-    def _read_header(self, path: Path, size: int) -> "dict | None":
-        """The record's trailing header fields without parsing the payload.
-
-        Records are written as ``{"version", "key", "value", "__arrays__",
-        "spec"}`` with ``indent=1``, so the ``__arrays__`` key appears as
-        the byte sequence ``\\n "__arrays__":`` at nesting depth 1 — and
-        *only* there: JSON strings cannot contain a raw newline, and
-        deeper keys carry more indentation.  Parsing from that marker to
-        EOF yields the header fields at a cost independent of the (often
-        large) ``value`` payload.  Returns ``None`` for unreadable/torn
-        records — the same skip semantics :meth:`get` applies.
-        """
-        try:
-            with open(path, "rb") as fh:
-                if size > self._HEADER_TAIL_BYTES:
-                    fh.seek(size - self._HEADER_TAIL_BYTES)
-                tail = fh.read(self._HEADER_TAIL_BYTES)
-        except OSError:
-            return None
-        # The seek may land mid-codepoint; the marker is pure ASCII, so
-        # replacement of a leading partial character is harmless.
-        text = tail.decode("utf-8", errors="replace")
-        marker = text.rfind(f'\n "{_ARRAYS_MARKER}":')
-        if marker >= 0:
-            try:
-                return json.loads("{" + text[marker + 1:])
-            except json.JSONDecodeError:
-                return None
-        # Header not inside the tail window (oversized spec, foreign
-        # format): fall back to a full parse.  ValueError covers both
-        # JSONDecodeError and the UnicodeDecodeError a torn binary write
-        # produces.
-        try:
-            return json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
+        n = len(self)
+        self._shards._close_writer()
+        shutil.rmtree(self._shards.root, ignore_errors=True)
+        self._shards = PackedShards(self.root / SHARD_DIR)
+        return n
 
     def entries(self) -> "Iterator[StoreEntry]":
-        """Metadata of every readable record (unreadable ones are skipped;
-        :meth:`gc` is the tool that deals with those).
-
-        Packed records list from the shard indexes alone — no record
-        bytes are touched.  Per-file records read ``stat()`` plus the
-        trailing header fields (``__arrays__``, ``spec``); a key present
-        in both layouts (a migrated original not yet gc'd) lists once,
-        from the packed side.
-        """
-        packed_keys: "set[str]" = set()
-        if self._shards.exists:
-            shard_mtimes: "dict[str, float]" = {}
-            for entry in self._shards.entries():
-                packed_keys.add(entry.key)
-                if entry.shard not in shard_mtimes:
-                    shard_mtimes[entry.shard] = \
-                        self._shards.shard_mtime(entry.shard)
-                yield StoreEntry(
-                    key=entry.key,
-                    json_bytes=entry.json_len,
-                    npz_bytes=entry.arr_len,
-                    fn=entry.fn,
-                    seed=entry.seed,
-                    n_arrays=entry.n_arrays,
-                    mtime=shard_mtimes[entry.shard],
-                    packed=True,
-                )
-        for key in self._file_keys():
-            if key in packed_keys:
-                continue
-            path = self.path_for(key)
-            try:
-                st = path.stat()
-            except OSError:
-                telemetry.count("store.entries.torn_skips")
-                continue
-            header = self._read_header(path, st.st_size)
-            if header is None:
-                telemetry.count("store.entries.torn_skips")
-                continue
-            try:
-                npz_bytes = self._npz_path(key).stat().st_size
-            except OSError:
-                npz_bytes = 0
-            spec = header.get("spec") or {}
+        """Metadata of every stored record, from the shard indexes alone —
+        no record bytes are touched."""
+        shard_mtimes: "dict[str, float]" = {}
+        for entry in self._shards.entries():
+            if entry.shard not in shard_mtimes:
+                shard_mtimes[entry.shard] = \
+                    self._shards.shard_mtime(entry.shard)
             yield StoreEntry(
-                key=key,
-                json_bytes=st.st_size,
-                npz_bytes=npz_bytes,
-                fn=spec.get("fn"),
-                seed=spec.get("seed"),
-                n_arrays=len(header.get(_ARRAYS_MARKER, [])),
-                mtime=st.st_mtime,
+                key=entry.key,
+                json_bytes=entry.json_len,
+                npz_bytes=entry.arr_len,
+                fn=entry.fn,
+                seed=entry.seed,
+                n_arrays=entry.n_arrays,
+                mtime=shard_mtimes[entry.shard],
             )
 
     def gc(self, dry_run: bool = False,
            min_age_s: float = 3600.0) -> GcStats:
-        """Prune unreferenced blobs; returns what was (or would be) removed.
+        """Prune unreferenced files; returns what was (or would be) removed.
 
         Garbage accumulates in a long-lived cache directory and is never
         read back by :meth:`get` or the run ledger:
 
-        - ``.npz`` side-cars whose JSON record was deleted or lost
-          (the record is the only reference to the blob);
-        - JSON records that no longer parse (torn by a crash predating
-          the atomic-write path, or hand-edited) — these already count
-          as misses, so dropping them (and their side-cars) only frees
-          space;
-        - JSON records that parse but whose NPZ side-car is corrupt or
-          truncated — without this they poison the cache forever: every
-          ``get`` re-misses, every recompute rewrites, and the broken
-          pair survives;
-        - per-file originals whose key is already packed into shards
-          (what :meth:`migrate` leaves behind for concurrent readers);
-        - temp files abandoned by interrupted writes (in the record
-          fan-out, in ``shards/``, and in ``runs/``);
+        - per-file (legacy) files whose key is already packed — what
+          :meth:`migrate` leaves behind — and every other file in the
+          per-file fan-out that is not part of a readable record: torn
+          JSON, records with a missing or corrupt side-car, side-cars
+          without a record, and temp files of interrupted writes;
+        - temp files abandoned by interrupted writes in ``shards/`` and
+          ``runs/``;
         - ``telemetry/`` JSONL files no valid ledger record references —
           profiled runs whose ledger entry is gone (or that predate the
           ledger) leave their telemetry behind forever otherwise;
         - torn/unparseable ``runs/`` ledger records.
 
-        Temp files, orphaned side-cars, and orphaned telemetry younger
-        than ``min_age_s`` are left alone: a concurrent campaign process
-        may be mid-write (its NPZ lands before its JSON record, a
-        profiled run's telemetry before its ledger record), and
-        unlinking its in-flight files would lose data it is about to
-        reference.  Valid store records (in either layout, minus packed
-        duplicates) *and valid ledger records* are never touched — the
-        ledger is provenance, not cache.  Emptied fan-out directories
-        are removed at the end of a real (non-dry-run) pass.
+        Files younger than ``min_age_s`` are left alone: a concurrent
+        process may be mid-write (a profiled run writes its telemetry
+        before its ledger record), and unlinking its in-flight files
+        would lose data it is about to reference.  Packed records, valid
+        unmigrated per-file records *and valid ledger records* are never
+        touched — the ledger is provenance, not cache.  Emptied fan-out
+        directories are removed at the end of a real (non-dry-run) pass.
 
         With ``dry_run`` nothing is deleted and the stats report what a
         real pass would remove.
         """
-        n_orphan = n_corrupt = n_tmp = n_tele = n_torn_runs = freed = 0
-        n_corrupt_npz = n_migrated = 0
+        n_legacy = n_tmp = n_tele = n_torn_runs = freed = 0
         if not self.root.exists():
-            return GcStats(0, 0, 0, 0)
+            return GcStats(0, 0, 0)
 
         now = time.time()
 
@@ -578,47 +372,20 @@ class ResultStore:
             except OSError:
                 return False  # already gone (e.g. the writer finished)
 
-        packed_keys: "set[str]" = set()
         if self._shards.exists:
-            packed_keys = set(self._shards.keys())
             for path in sorted(self._shards.root.glob(".*")):
                 if old_enough(path):
                     n_tmp += 1
                     freed += remove(path)
 
-        for path in sorted(self.root.glob("??/.*")):
-            if not old_enough(path):
-                continue
-            n_tmp += 1
-            freed += remove(path)
-        for path in sorted(self.root.glob("??/*.json")):
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                n_corrupt += 1
-                freed += remove(path)
-                freed += remove(path.with_suffix(".npz"))
-                continue
-            if path.stem in packed_keys:
-                n_migrated += 1
-                freed += remove(path)
-                freed += remove(path.with_suffix(".npz"))
-                continue
-            if isinstance(record, dict) and record.get(_ARRAYS_MARKER):
-                # A record whose side-car is corrupt, truncated, or gone
-                # is dead weight: every get() is a miss, and only a
-                # rerun of that exact task would rewrite the pair.
-                npz = path.with_suffix(".npz")
-                try:
-                    with np.load(npz) as z:
-                        z.files
-                except _NPZ_ERRORS:
-                    n_corrupt_npz += 1
-                    freed += remove(path)
-                    freed += remove(npz)
-        for path in sorted(self.root.glob("??/*.npz")):
-            if not path.with_suffix(".json").exists() and old_enough(path):
-                n_orphan += 1
+        packed = set(self._shards.keys())
+        live: "set[Path]" = set()
+        for path in self._legacy_records():
+            if path.stem not in packed and _read_legacy(path) is not None:
+                live.update((path, path.with_suffix(".npz")))
+        for path in sorted(self.root.glob("??/*")):
+            if path not in live and path.is_file() and old_enough(path):
+                n_legacy += 1
                 freed += remove(path)
 
         # Run-ledger maintenance: collect the telemetry files valid
@@ -663,11 +430,8 @@ class ResultStore:
                 if sub.is_dir() and not any(sub.iterdir()):
                     sub.rmdir()
 
-        telemetry.count("store.gc.removed",
-                        n_orphan + n_corrupt + n_tmp + n_tele + n_torn_runs
-                        + n_corrupt_npz + n_migrated)
+        stats = GcStats(n_legacy=n_legacy, n_tmp=n_tmp, bytes_freed=freed,
+                        n_orphan_telemetry=n_tele, n_torn_runs=n_torn_runs)
+        telemetry.count("store.gc.removed", stats.n_removed)
         telemetry.count("store.gc.bytes_freed", freed)
-        return GcStats(n_orphan_npz=n_orphan, n_corrupt=n_corrupt,
-                       n_tmp=n_tmp, bytes_freed=freed,
-                       n_orphan_telemetry=n_tele, n_torn_runs=n_torn_runs,
-                       n_corrupt_npz=n_corrupt_npz, n_migrated=n_migrated)
+        return stats

@@ -10,6 +10,7 @@ failure mode a reproducibility harness can never have.
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from store_helpers import entry_bytes, keep_only
 
 from repro.runtime import (
     ChaosSpec,
@@ -30,11 +31,6 @@ def _sweep(n_tasks, base_seed):
         axes=(("replicate", tuple(range(n_tasks))),),
         base_seed=base_seed,
     )
-
-
-def _store_bytes(root):
-    return {p.relative_to(root): p.read_bytes()
-            for p in sorted(root.rglob("*.json"))}
 
 
 @settings(max_examples=5, deadline=None,
@@ -62,7 +58,9 @@ def test_chaotic_parallel_run_is_byte_identical_to_clean_serial(
 
     assert not chaotic.failures
     assert chaotic.values() == clean.values()
-    assert _store_bytes(tmp_path / "chaotic") == _store_bytes(tmp_path / "clean")
+    clean_bytes = entry_bytes(tmp_path / "clean")
+    assert len(clean_bytes) == n_tasks
+    assert entry_bytes(tmp_path / "chaotic") == clean_bytes
 
 
 @settings(max_examples=5, deadline=None,
@@ -72,8 +70,8 @@ def test_chaotic_parallel_run_is_byte_identical_to_clean_serial(
        n_keep=st.integers(min_value=1, max_value=3))
 def test_resumed_campaign_replays_cached_values_bit_exactly(
         tmp_path_factory, base_seed, n_tasks, n_keep):
-    """Golden replay: drop all but ``n_keep`` records from a finished
-    campaign's store, rerun, and the completed campaign must be
+    """Golden replay: rebuild a finished campaign's store with only
+    ``n_keep`` of its records, rerun, and the completed campaign must be
     value-identical to the original — with the kept records served from
     cache, untouched on disk."""
     tmp_path = tmp_path_factory.mktemp("resume-replay")
@@ -84,14 +82,16 @@ def test_resumed_campaign_replays_cached_values_bit_exactly(
     assert not first.failures
 
     keys = sorted(store.keys())
-    for key in keys[min(n_keep, len(keys)):]:
-        store.path_for(key).unlink()
-    kept = _store_bytes(tmp_path / "cache")
+    assert len(keys) == n_tasks
+    partial = keep_only(tmp_path / "cache", keys[:n_keep])
+    kept = entry_bytes(tmp_path / "cache")
+    assert len(kept) == n_keep
 
-    resumed = run_campaign(tasks, jobs=1, store=ResultStore(tmp_path / "cache"))
+    resumed = run_campaign(tasks, jobs=1, store=partial)
     assert not resumed.failures
-    assert resumed.n_cached == min(n_keep, len(keys))
+    assert resumed.n_cached == n_keep
     assert resumed.values() == first.values()
-    after = _store_bytes(tmp_path / "cache")
-    for path, payload in kept.items():
-        assert after[path] == payload
+    after = entry_bytes(tmp_path / "cache")
+    assert len(after) == n_tasks
+    for key, payload in kept.items():
+        assert after[key] == payload

@@ -42,7 +42,7 @@ class RecordingStore:
 @pytest.fixture
 def warm(tmp_path):
     """A store with a 6-task campaign fully cached, plus its specs."""
-    store = ResultStore(tmp_path / "cache", layout="packed")
+    store = ResultStore(tmp_path / "cache")
     specs = make_specs(6)
     run_campaign(specs, store=store)
     return store, specs
@@ -142,15 +142,3 @@ class TestLoadCached:
         values, missing = load_cached(store, specs + extra)
         assert values[-1] is None and all(v is not None for v in values[:6])
         assert missing == list(extra)
-
-    def test_mmap_kwarg_falls_back_for_test_doubles(self, warm):
-        store, specs = warm
-
-        class LegacyDouble:
-            """Store-like object whose get() lacks the mmap kwarg."""
-
-            def get(self, key):
-                return {"ok": key}
-
-        values, missing = load_cached(LegacyDouble(), specs[:2], mmap=True)
-        assert not missing and values[0] == {"ok": specs[0].key}

@@ -1,9 +1,8 @@
 """Unit tests for the content-addressed on-disk result store."""
 
-import json
-
 import numpy as np
 import pytest
+from store_helpers import write_legacy_record
 
 from repro.runtime import ResultStore
 
@@ -29,20 +28,22 @@ class TestRoundTrip:
         assert loaded["y"].hex() == value["y"].hex()
 
     def test_ndarray_fields_via_npz(self, store):
+        """A legacy record's NPZ side-car arrays survive ``migrate``."""
         arr = np.linspace(0.0, 1.0, 7)
-        store.put(KEY, {"curve": arr, "n": 7})
+        write_legacy_record(store.root, KEY, {"curve": arr, "n": 7})
+        assert store.get(KEY) is None  # unmigrated: a miss
+        assert store.migrate().n_packed == 1
         loaded = store.get(KEY)
         np.testing.assert_array_equal(loaded["curve"], arr)
         assert loaded["n"] == 7
-        assert store._npz_path(KEY).exists()
 
     def test_numpy_scalars_stored_as_python(self, store):
         store.put(KEY, {"a": np.float64(0.5), "b": np.int64(4)})
         assert store.get(KEY) == {"a": 0.5, "b": 4}
 
     def test_spec_recorded_for_provenance(self, store):
-        path = store.put(KEY, {"x": 1}, spec={"fn": "m:f", "seed": 9})
-        record = json.loads(path.read_text())
+        store.put(KEY, {"x": 1}, spec={"fn": "m:f", "seed": 9})
+        record, _ = store._shards.read(KEY)
         assert record["spec"] == {"fn": "m:f", "seed": 9}
         assert record["key"] == KEY
 
@@ -53,13 +54,14 @@ class TestMissesAndErrors:
         assert KEY not in store
 
     def test_torn_record_counts_as_miss(self, store):
-        path = store.put(KEY, {"x": 1})
-        path.write_text("{ not json")
+        write_legacy_record(store.root, KEY, {"x": 1}).write_text("{ not json")
+        assert store.migrate().n_skipped == 1
         assert store.get(KEY) is None
 
     def test_missing_npz_sidecar_counts_as_miss(self, store):
-        store.put(KEY, {"curve": np.ones(3)})
-        store._npz_path(KEY).unlink()
+        path = write_legacy_record(store.root, KEY, {"curve": np.ones(3)})
+        path.with_suffix(".npz").unlink()
+        assert store.migrate().n_skipped == 1
         assert store.get(KEY) is None
 
     def test_non_mapping_value_rejected(self, store):
@@ -68,7 +70,9 @@ class TestMissesAndErrors:
 
     def test_malformed_key_rejected(self, store):
         with pytest.raises(ValueError, match="malformed"):
-            store.path_for("../escape")
+            store.put("../escape", {"x": 1})
+        with pytest.raises(ValueError, match="malformed"):
+            store.get("../escape")
 
 
 class TestMaintenance:

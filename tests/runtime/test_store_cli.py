@@ -1,9 +1,11 @@
 """Tests for store maintenance: ``ResultStore.entries``/``gc`` + the CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
+from store_helpers import write_legacy_record
 
 from repro.cli import main as repro_main
 from repro.runtime.cli import store_main
@@ -33,60 +35,52 @@ class TestEntries:
         assert list(ResultStore(tmp_path / "nope").entries()) == []
 
     def test_mtime_comes_from_stat(self, store):
-        import os
-
         key = "aa" * 16
-        os.utime(store.path_for(key), (1_000_000_000, 1_000_000_000))
-        entry = {e.key: e for e in store.entries()}[key]
+        (shard,) = (store.root / "shards").glob("*.shard")
+        os.utime(shard, (1_000_000_000, 1_000_000_000))
+        entry = {e.key: e for e in ResultStore(store.root).entries()}[key]
         assert entry.mtime == 1_000_000_000
 
     def test_torn_and_partial_records_are_skipped(self, store):
-        """A store holding torn records lists only the readable ones.
+        """A shard with a torn tail lists only its committed records.
 
-        Three flavors of damage: a record truncated mid-payload (the
-        header marker is gone), a record truncated mid-header (the marker
-        survives but its JSON does not), and plain garbage bytes.
+        Two flavors of damage, each followed by a fresh reader with no
+        sidecar index to lean on: an entry cut off mid-array, and an
+        entry whose JSON bytes no longer match their CRC.
         """
-        for i, mutilate in enumerate([
-            lambda t: t[: t.index('"value"') + 10],          # mid-payload
-            lambda t: t[: t.rindex('"spec"') + 8],           # mid-header
-            lambda t: "{not json",                            # garbage
-        ]):
-            key = f"{i}{i}" * 16
-            store.put(key, {"x": list(range(50))}, spec={"fn": "m:f", "seed": i})
-            path = store.path_for(key)
-            path.write_text(mutilate(path.read_text()))
-        # non-UTF-8 bytes (torn binary write) must also be skipped
-        store.put("33" * 16, {"x": 1})
-        store.path_for("33" * 16).write_bytes(b"\xff\xfe garbage")
-        assert {e.key for e in store.entries()} == {"aa" * 16, "bb" * 16}
+        store.put("cc" * 16, {"x": list(range(50)), "a": np.arange(8.0)},
+                  spec={"fn": "m:f", "seed": 3})
+        (shard,) = (store.root / "shards").glob("*.shard")
+        (idx,) = (store.root / "shards").glob("*.idx")
+        data = shard.read_bytes()
+        idx.unlink()
+        shard.write_bytes(data[:-5])  # mid-array
+        assert {e.key for e in ResultStore(store.root).entries()} \
+            == {"aa" * 16, "bb" * 16}
+        torn = bytearray(data)
+        torn[-100] ^= 0xFF  # inside the last entry's JSON
+        shard.write_bytes(bytes(torn))
+        assert {e.key for e in ResultStore(store.root).entries()} \
+            == {"aa" * 16, "bb" * 16}
 
-    def test_header_parse_skips_large_payloads(self, store):
-        """Header fields are read from the record tail, not a full parse.
-
-        A payload much larger than the tail window, containing decoy
-        strings that *look* like the header marker inside JSON values
-        (where raw newlines are impossible), must still list correctly.
-        """
+    def test_header_parse_skips_large_payloads(self, store, monkeypatch):
+        """Listing parses the shard index only, never a record payload."""
         key = "cc" * 16
-        decoy = '\\n "__arrays__": [evil]'  # escaped newline, inside a string
         store.put(
             key,
-            {"blob": [decoy] * 20_000, "arr": np.arange(3.0)},
+            {"blob": ["x" * 64] * 20_000, "arr": np.arange(3.0)},
             spec={"fn": "m:big", "seed": 9},
         )
-        assert store.path_for(key).stat().st_size > ResultStore._HEADER_TAIL_BYTES
-        entry = {e.key: e for e in store.entries()}[key]
-        assert entry.fn == "m:big" and entry.seed == 9 and entry.n_arrays == 1
+        fresh = ResultStore(store.root)
 
-    def test_header_outside_tail_window_falls_back_to_full_parse(self, store):
-        """An oversized spec pushes the header out of the tail window."""
-        key = "dd" * 16
-        store.put(key, {"x": 1},
-                  spec={"fn": "m:wide", "seed": 3,
-                        "padding": "p" * (2 * ResultStore._HEADER_TAIL_BYTES)})
-        entry = {e.key: e for e in store.entries()}[key]
-        assert entry.fn == "m:wide" and entry.seed == 3
+        def no_payload_reads(*args, **kwargs):
+            raise AssertionError("entries() read record bytes")
+
+        monkeypatch.setattr(fresh._shards, "read", no_payload_reads)
+        monkeypatch.setattr(fresh._shards, "scan_shard", no_payload_reads)
+        entry = {e.key: e for e in fresh.entries()}[key]
+        assert entry.fn == "m:big" and entry.seed == 9 and entry.n_arrays == 1
+        assert entry.json_bytes > 20_000 * 64
 
 
 class TestGc:
@@ -95,52 +89,59 @@ class TestGc:
         assert stats.n_removed == 0 and stats.bytes_freed == 0
         assert len(store) == 2
 
-    def test_orphan_npz_removed(self, store):
-        key = "bb" * 16
-        store.path_for(key).unlink()  # leaves the NPZ orphaned
+    @pytest.fixture
+    def orphan_npz(self, store):
+        """A legacy side-car whose JSON record is gone."""
+        path = write_legacy_record(store.root, "cc" * 16,
+                                   {"arr": np.arange(4.0)})
+        path.unlink()
+        return path.with_suffix(".npz")
+
+    def test_orphan_npz_removed(self, store, orphan_npz):
         stats = store.gc(min_age_s=0)
-        assert stats.n_orphan_npz == 1 and stats.bytes_freed > 0
-        assert not store._npz_path(key).exists()
+        assert stats.n_legacy == 1 and stats.bytes_freed > 0
+        assert not orphan_npz.exists()
+        assert not orphan_npz.parent.exists()  # emptied fan-out removed
         assert store.get("aa" * 16) == {"x": 1.0}  # valid record untouched
 
     def test_torn_record_removed_with_sidecar(self, store):
-        key = "bb" * 16
-        store.path_for(key).write_text("{not json")
-        stats = store.gc()
-        assert stats.n_corrupt == 1
-        assert not store.path_for(key).exists()
-        assert not store._npz_path(key).exists()
+        path = write_legacy_record(store.root, "cc" * 16,
+                                   {"arr": np.arange(4.0)})
+        path.write_text("{not json")
+        stats = store.gc(min_age_s=0)
+        assert stats.n_legacy == 2
+        assert not path.exists()
+        assert not path.with_suffix(".npz").exists()
 
     def test_stale_tmp_files_removed(self, store):
         tmp = store.root / "aa" / ".leftover.json.x1y2"
+        tmp.parent.mkdir()
         tmp.write_text("partial")
         stats = store.gc(min_age_s=0)
-        assert stats.n_tmp == 1
+        assert stats.n_legacy == 1
         assert not tmp.exists()
 
     def test_fresh_tmp_files_survive(self, store):
         # A concurrent writer's live temp file must not be unlinked.
-        tmp = store.root / "aa" / ".inflight.json.x1y2"
+        tmp = store.root / "shards" / ".inflight.idx.x1y2"
         tmp.write_text("partial")
         stats = store.gc()
         assert stats.n_tmp == 0
         assert tmp.exists()
+        assert store.gc(min_age_s=0).n_tmp == 1
+        assert not tmp.exists()
 
-    def test_fresh_orphan_npz_survives(self, store):
-        # A concurrent put() writes the NPZ before its JSON record; a gc
-        # racing that window must not unlink the side-car.
-        key = "bb" * 16
-        store.path_for(key).unlink()
+    def test_fresh_orphan_npz_survives(self, store, orphan_npz):
+        # An older version sharing the cache writes the NPZ before its
+        # JSON record; a gc racing that window must not unlink it.
         stats = store.gc()
-        assert stats.n_orphan_npz == 0
-        assert store._npz_path(key).exists()
+        assert stats.n_legacy == 0
+        assert orphan_npz.exists()
 
-    def test_dry_run_deletes_nothing(self, store):
-        key = "bb" * 16
-        store.path_for(key).unlink()
+    def test_dry_run_deletes_nothing(self, store, orphan_npz):
         stats = store.gc(dry_run=True, min_age_s=0)
-        assert stats.n_orphan_npz == 1
-        assert store._npz_path(key).exists()
+        assert stats.n_legacy == 1
+        assert orphan_npz.exists()
 
     def test_missing_root(self, tmp_path):
         stats = ResultStore(tmp_path / "nope").gc()
@@ -234,9 +235,17 @@ class TestGcObservability:
 
 class TestCli:
     def test_ls(self, store, capsys):
+        # An unmigrated legacy record is import input, not a result.
+        write_legacy_record(store.root, "cc" * 16, {"x": 2},
+                            spec={"fn": "m:old", "seed": 1})
         assert store_main(["ls", "--cache-dir", str(store.root)]) == 0
         out = capsys.readouterr().out
         assert "m:f" in out and "2 result(s)" in out
+        assert "m:old" not in out
+        assert store_main(["migrate", "--cache-dir", str(store.root)]) == 0
+        assert store_main(["ls", "--cache-dir", str(store.root)]) == 0
+        out = capsys.readouterr().out
+        assert "m:old" in out and "3 result(s)" in out
 
     def test_ls_json(self, store, capsys):
         assert store_main(["ls", "--cache-dir", str(store.root),
@@ -248,18 +257,28 @@ class TestCli:
         assert store_main(["ls", "--cache-dir", str(tmp_path / "e")]) == 0
         assert "empty store" in capsys.readouterr().out
 
-    def test_gc_reports_counts(self, store, capsys):
-        store.path_for("bb" * 16).unlink()
+    @pytest.fixture
+    def migrated(self, store):
+        """A migrated legacy record: its per-file original is garbage."""
+        path = write_legacy_record(store.root, "cc" * 16,
+                                   {"arr": np.arange(4.0)},
+                                   spec={"fn": "m:old", "seed": 1})
+        assert store.migrate().n_packed == 1
+        return path
+
+    def test_gc_reports_counts(self, store, migrated, capsys):
         assert store_main(["gc", "--cache-dir", str(store.root),
                            "--min-age", "0"]) == 0
-        assert "removed 1 file(s): 1 orphan NPZ" in capsys.readouterr().out
+        assert "removed 2 file(s): 2 legacy per-file" \
+            in capsys.readouterr().out
+        assert not migrated.exists()
+        assert ResultStore(store.root).get("cc" * 16) is not None
 
-    def test_gc_dry_run(self, store, capsys):
-        store.path_for("bb" * 16).unlink()
+    def test_gc_dry_run(self, store, migrated, capsys):
         assert store_main(["gc", "--cache-dir", str(store.root),
                            "--dry-run", "--min-age", "0"]) == 0
-        assert "would remove 1" in capsys.readouterr().out
-        assert store._npz_path("bb" * 16).exists()
+        assert "would remove 2" in capsys.readouterr().out
+        assert migrated.exists() and migrated.with_suffix(".npz").exists()
 
     def test_main_wiring(self, store, capsys):
         assert repro_main(["store", "ls", "--cache-dir",

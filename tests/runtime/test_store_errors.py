@@ -36,18 +36,27 @@ class TestEnsureWritable:
             store.ensure_writable()
 
 
-class TestPerFilePutErrors:
+class TestPutErrors:
     def test_write_failure_raises_store_error_with_key(self, tmp_path,
                                                        monkeypatch):
         store = ResultStore(tmp_path / "cache")
 
-        def broken_atomic_write(path, writer, binary=False):
+        def broken_open(*args, **kwargs):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(store, "_atomic_write", broken_atomic_write)
+        monkeypatch.setattr("builtins.open", broken_open)
         with pytest.raises(StoreError, match="'aa11'.*No space left"):
             store.put("aa11", {"x": 1})
+        monkeypatch.undo()
         # The failed key never became a phantom hit.
+        assert store.get("aa11") is None
+
+    def test_uncreatable_root_raises_store_error(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        store = ResultStore(blocker / "cache")
+        with pytest.raises(StoreError, match="'aa11'"):
+            store.put("aa11", {"x": 1})
         assert store.get("aa11") is None
 
 
@@ -75,7 +84,7 @@ class _EnospcAfter:
 class TestPackedAppendErrors:
     def test_enospc_mid_append_truncates_and_keeps_index_consistent(
             self, tmp_path):
-        store = ResultStore(tmp_path / "cache", layout="packed")
+        store = ResultStore(tmp_path / "cache")
         store.put("aa01", {"x": 1}, spec={"fn": "f", "seed": 0})
 
         shards = store._shards
@@ -93,7 +102,7 @@ class TestPackedAppendErrors:
         assert store.get("dd00") is None
         # The store keeps working once space returns.
         store.put("aa02", {"x": 3}, spec={"fn": "f", "seed": 2})
-        reread = ResultStore(tmp_path / "cache", layout="packed")
+        reread = ResultStore(tmp_path / "cache")
         assert sorted(reread.keys()) == ["aa01", "aa02"]
         assert reread.get("aa01") == {"x": 1}
         assert reread.get("aa02") == {"x": 3}
@@ -101,7 +110,7 @@ class TestPackedAppendErrors:
 
 class TestChaosTornWrites:
     def test_committed_entry_survives_a_torn_tail(self, tmp_path):
-        store = ResultStore(tmp_path / "cache", layout="packed")
+        store = ResultStore(tmp_path / "cache")
         chaos.install(ChaosSpec(seed=0, torn_write_rate=1.0))
         try:
             store.put("aa11", {"x": 1}, spec={"fn": "f", "seed": 0})
@@ -112,7 +121,7 @@ class TestChaosTornWrites:
         shard_dir = tmp_path / "cache" / "shards"
         assert len(list(shard_dir.glob("*.shard"))) == 2
         # A fresh reader scans around the garbage tails.
-        reread = ResultStore(tmp_path / "cache", layout="packed")
+        reread = ResultStore(tmp_path / "cache")
         assert reread.get("aa11") == {"x": 1}
         assert reread.get("bb22") == {"x": 2}
         assert sorted(reread.keys()) == ["aa11", "bb22"]

@@ -13,8 +13,6 @@ change:
   scenarios") can never be served to the new one.
 """
 
-import json
-
 import pytest
 
 from repro.runtime import ResultStore, RunSpec, run_campaign, spec_key
@@ -100,7 +98,7 @@ class TestSweepKeysNameTheResolvedEngine:
         store = ResultStore(tmp_path / "store")
         task = expanded_tasks()[0]
         run_campaign([task], jobs=1, store=store)
-        record = json.loads(store.path_for(task.key).read_text())
+        record, _ = ResultStore(store.root)._shards.read(task.key)
         assert record["spec"]["params"]["engine"] == "lockstep"
 
 

@@ -1,9 +1,8 @@
-"""Packed shard backend: round-trips, crash consistency, migration.
+"""Packed shards: round-trips, crash consistency, migration.
 
-Extends the torn-record suite of ``test_store_cli.py`` to the sharded
-layout: torn shard tails, truncated/corrupt sidecar indexes, corrupt NPZ
-side-cars, concurrent multi-writer appends, and the byte-identity
-property of ``store migrate``.
+Torn shard tails, truncated/corrupt sidecar indexes, concurrent
+multi-writer appends, and ``store migrate`` of legacy per-file records
+(corrupt NPZ side-cars, and the byte-identity property).
 """
 
 import json
@@ -15,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
+from store_helpers import write_legacy_record
 
 from repro.runtime.shards import _HEADER, _MAGIC, PackedShards
-from repro.runtime.store import ResultStore
+from repro.runtime.store import ResultStore, _read_legacy
 
 KEY = "ab" * 16
 
@@ -28,7 +28,7 @@ def keyn(i: int) -> str:
 
 @pytest.fixture
 def store(tmp_path):
-    return ResultStore(tmp_path / "cache", layout="packed")
+    return ResultStore(tmp_path / "cache")
 
 
 class TestPackedRoundTrip:
@@ -36,8 +36,7 @@ class TestPackedRoundTrip:
         value = {"runtime": 0.125, "n": 3, "tags": ["a", "b"], "ok": True}
         store.put(KEY, value)
         assert store.get(KEY) == value
-        assert store.packed_active
-        assert not store.path_for(KEY).exists()  # nothing in the fan-out
+        assert not any(store.root.glob("??"))  # nothing in a fan-out
 
     def test_float_bits_survive(self, store):
         value = {"x": 0.1 + 0.2, "y": 1e-300}
@@ -79,12 +78,11 @@ class TestPackedRoundTrip:
     def test_spec_recorded_for_provenance(self, store):
         store.put(KEY, {"x": 1}, spec={"fn": "m:f", "seed": 9})
         entry = next(iter(store.entries()))
-        assert entry.fn == "m:f" and entry.seed == 9 and entry.packed
+        assert entry.fn == "m:f" and entry.seed == 9
 
     def test_cross_instance_read(self, store):
         store.put(KEY, {"x": 1})
-        fresh = ResultStore(store.root)  # auto-detects the shards dir
-        assert fresh.packed_active
+        fresh = ResultStore(store.root)
         assert fresh.get(KEY) == {"x": 1}
 
     def test_last_write_wins_for_duplicate_keys(self, store):
@@ -110,68 +108,81 @@ class TestPackedRoundTrip:
 
 class TestShortKeys:
     def test_put_rejects_sub_fanout_keys(self, store):
-        # A 1-char key used to be writable in the per-file layout but
-        # invisible to keys()/gc() (the ``??`` fan-out glob never
-        # matches a single-character directory).
+        # Keys shorter than the legacy two-character fan-out prefix are
+        # no content hash: rejected on write and on read.
         with pytest.raises(ValueError, match="malformed"):
             store.put("a", {"x": 1})
         with pytest.raises(ValueError, match="malformed"):
-            ResultStore(store.root, layout="file").path_for("a")
+            store.get("a")
         with pytest.raises(ValueError, match="malformed"):
-            store.path_for("")
+            store.get("")
 
 
 class TestCorruptNpzSidecar:
     """Regression: np.load raises zipfile.BadZipFile/ValueError for a
     corrupt side-car — neither is an OSError, so they used to escape the
-    miss handler and crash the whole campaign."""
+    miss handler and crash the whole campaign.  A legacy record with a
+    damaged side-car is skipped by ``migrate`` and collected by ``gc``."""
 
     @pytest.fixture
     def legacy(self, tmp_path):
-        store = ResultStore(tmp_path / "cache", layout="file")
-        store.put(KEY, {"curve": np.arange(4.0), "n": 4})
-        return store
+        store = ResultStore(tmp_path / "cache")
+        path = write_legacy_record(store.root, KEY,
+                                   {"curve": np.arange(4.0), "n": 4})
+        return store, path, path.with_suffix(".npz")
 
     def test_garbage_npz_is_a_miss(self, legacy):
-        legacy._npz_path(KEY).write_bytes(b"not a zip at all")
-        assert legacy.get(KEY) is None  # used to raise BadZipFile
+        store, _, npz = legacy
+        npz.write_bytes(b"not a zip at all")
+        assert store.migrate().n_skipped == 1  # used to raise BadZipFile
+        assert store.get(KEY) is None
 
     def test_truncated_npz_is_a_miss(self, legacy):
-        path = legacy._npz_path(KEY)
-        path.write_bytes(path.read_bytes()[:20])
-        assert legacy.get(KEY) is None
+        store, _, npz = legacy
+        npz.write_bytes(npz.read_bytes()[:20])
+        assert store.migrate().n_skipped == 1
+        assert store.get(KEY) is None
 
     def test_gc_collects_corrupt_npz_pair(self, legacy):
-        legacy._npz_path(KEY).write_bytes(b"not a zip at all")
-        stats = legacy.gc(min_age_s=0)
-        assert stats.n_corrupt_npz == 1 and stats.bytes_freed > 0
-        assert not legacy.path_for(KEY).exists()
-        assert not legacy._npz_path(KEY).exists()
+        store, path, npz = legacy
+        npz.write_bytes(b"not a zip at all")
+        stats = store.gc(min_age_s=0)
+        assert stats.n_legacy == 2 and stats.bytes_freed > 0
+        assert not path.exists()
+        assert not npz.exists()
 
     def test_gc_collects_missing_npz_pair(self, legacy):
-        legacy._npz_path(KEY).unlink()
-        stats = legacy.gc(min_age_s=0)
-        assert stats.n_corrupt_npz == 1
-        assert not legacy.path_for(KEY).exists()
+        store, path, npz = legacy
+        npz.unlink()
+        stats = store.gc(min_age_s=0)
+        assert stats.n_legacy == 1
+        assert not path.exists()
 
     def test_gc_dry_run_keeps_the_pair(self, legacy):
-        legacy._npz_path(KEY).write_bytes(b"junk")
-        stats = legacy.gc(dry_run=True, min_age_s=0)
-        assert stats.n_corrupt_npz == 1
-        assert legacy.path_for(KEY).exists()
+        store, path, npz = legacy
+        npz.write_bytes(b"junk")
+        stats = store.gc(dry_run=True, min_age_s=0)
+        assert stats.n_legacy == 2
+        assert path.exists() and npz.exists()
+
+    def test_gc_keeps_a_valid_unmigrated_record(self, legacy):
+        store, path, npz = legacy
+        assert store.gc(min_age_s=0).n_removed == 0
+        assert path.exists() and npz.exists()
 
 
 class TestLegacyClear:
-    def test_clear_removes_orphan_npz_and_empty_dirs(self, tmp_path):
-        # clear() used to unlink only pairs reachable via a readable
-        # JSON record, leaving orphan .npz files and fan-out dirs.
-        store = ResultStore(tmp_path / "cache", layout="file")
-        store.put(KEY, {"a": np.ones(2)})
+    def test_clear_leaves_unmigrated_records_for_migrate(self, tmp_path):
+        # Unmigrated per-file records are import input, not stored
+        # records: clear() drops the shards and leaves them alone.
+        store = ResultStore(tmp_path / "cache")
         store.put("cd" * 16, {"x": 1})
-        store.path_for(KEY).unlink()  # orphan the side-car
-        assert store.clear() == 2
-        assert not store._npz_path(KEY).exists()
-        assert not any(store.root.glob("??"))  # fan-out dirs removed
+        path = write_legacy_record(store.root, KEY, {"a": np.ones(2)})
+        assert store.clear() == 1
+        assert not (store.root / "shards").exists()
+        assert path.exists() and path.with_suffix(".npz").exists()
+        assert store.migrate().n_packed == 1
+        np.testing.assert_array_equal(store.get(KEY)["a"], np.ones(2))
 
 
 class TestTornShard:
@@ -248,7 +259,7 @@ class TestTruncatedIndex:
 
 
 def _writer_proc(root, start, n):
-    store = ResultStore(root, layout="packed")
+    store = ResultStore(root)
     for i in range(start, start + n):
         store.put(keyn(i), {"i": i, "arr": np.full(5, float(i))})
 
@@ -275,7 +286,7 @@ class TestConcurrentWriters:
 
     def test_forked_child_opens_its_own_shard(self, tmp_path):
         root = tmp_path / "cache"
-        store = ResultStore(root, layout="packed")
+        store = ResultStore(root)
         store.put(keyn(0), {"i": 0})  # parent owns a writer handle now
         ctx = multiprocessing.get_context("fork")
 
@@ -293,20 +304,23 @@ class TestConcurrentWriters:
 
 class TestMigration:
     def _legacy_store(self, tmp_path):
-        store = ResultStore(tmp_path / "cache", layout="file")
-        store.put(keyn(0), {"x": 0.1 + 0.2, "curve": np.linspace(0, 1, 9)},
-                  spec={"fn": "m:f", "seed": 3})
-        store.put(keyn(1), {"plain": [1, 2, 3]})
-        store.put(keyn(2), {"f": np.asfortranarray(np.eye(3))})
-        return store
+        root = tmp_path / "cache"
+        write_legacy_record(root, keyn(0), {"x": 0.1 + 0.2,
+                                            "curve": np.linspace(0, 1, 9)},
+                            spec={"fn": "m:f", "seed": 3})
+        write_legacy_record(root, keyn(1), {"plain": [1, 2, 3]})
+        write_legacy_record(root, keyn(2), {"f": np.asfortranarray(np.eye(3))})
+        return ResultStore(root)
 
     def test_migrate_then_get_byte_identical(self, tmp_path):
         store = self._legacy_store(tmp_path)
-        before = {k: store.get(k) for k in store.keys()}
+        before = {path.stem: _read_legacy(path)[1]
+                  for path in sorted(store.root.glob("??/*.json"))}
+        assert len(before) == 3
+        assert all(store.get(k) is None for k in before)  # unmigrated
         stats = store.migrate()
         assert stats.n_packed == 3 and stats.n_skipped == 0
-        after = ResultStore(store.root)  # fresh instance, packed reads
-        assert after.packed_active
+        after = ResultStore(store.root)  # fresh instance
         for key, old in before.items():
             new = after.get(key)
             assert set(new) == set(old)
@@ -326,8 +340,8 @@ class TestMigration:
 
     def test_migrate_skips_unreadable_records(self, tmp_path):
         store = self._legacy_store(tmp_path)
-        store.path_for(keyn(1)).write_text("{torn")
-        store._npz_path(keyn(2)).write_bytes(b"bad zip")
+        (store.root / "00" / f"{keyn(1)}.json").write_text("{torn")
+        (store.root / "00" / f"{keyn(2)}.npz").write_bytes(b"bad zip")
         stats = store.migrate()
         assert stats.n_packed == 1 and stats.n_skipped == 2
 
@@ -341,7 +355,7 @@ class TestMigration:
         store = self._legacy_store(tmp_path)
         store.migrate()
         stats = store.gc(min_age_s=0)
-        assert stats.n_migrated == 3 and stats.bytes_freed > 0
+        assert stats.n_legacy == 5 and stats.bytes_freed > 0  # 3 JSON, 2 NPZ
         assert not any(store.root.glob("??/*.json"))
         assert not any(store.root.glob("??"))  # emptied fan-out removed
         fresh = ResultStore(store.root)
@@ -350,8 +364,9 @@ class TestMigration:
     def test_entries_list_migrated_keys_once(self, tmp_path):
         store = self._legacy_store(tmp_path)
         store.migrate()
-        entries = list(store.entries())
-        assert len(entries) == 3 and all(e.packed for e in entries)
+        store.migrate()  # a second pass appends no duplicates
+        entries = list(ResultStore(store.root).entries())
+        assert [e.key for e in entries] == [keyn(i) for i in range(3)]
 
 
 _plain_values = st.one_of(
@@ -378,10 +393,10 @@ class TestMigrationProperty:
     def test_any_record_survives_migration_byte_identically(
             self, tmp_path_factory, record, seed):
         root = tmp_path_factory.mktemp("prop") / "cache"
-        store = ResultStore(root, layout="file")
-        store.put(KEY, record, spec={"fn": "m:prop", "seed": seed})
-        before = store.get(KEY)
-        assert store.migrate().n_packed == 1
+        path = write_legacy_record(root, KEY, record,
+                                   spec={"fn": "m:prop", "seed": seed})
+        before = _read_legacy(path)[1]
+        assert ResultStore(root).migrate().n_packed == 1
         after = ResultStore(root).get(KEY)
         assert set(after) == set(before)
         for name, item in before.items():

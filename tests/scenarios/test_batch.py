@@ -7,6 +7,7 @@ and sharding semantics are exactly those of unbatched execution.
 
 import numpy as np
 import pytest
+from store_helpers import entry_bytes
 
 from repro.runtime import ResultStore, RunSpec, run_campaign
 from repro.scenarios import (
@@ -18,6 +19,15 @@ from repro.scenarios import (
     scenario_sweep_spec,
 )
 from repro.scenarios.batch import SCENARIO_TASK_FN
+
+N_SWEEP = 12  # campaign_rate_sweep: 3 rates x 4 replicates
+
+def assert_records_byte_identical(root_a, root_b, n_records):
+    """Both stores hold the same ``n_records`` keys with identical
+    packed entry bytes (header, JSON and array segment)."""
+    a, b = entry_bytes(root_a), entry_bytes(root_b)
+    assert len(a) == n_records
+    assert a == b
 
 
 def sweep_tasks(name="campaign_rate_sweep", **kw):
@@ -84,12 +94,8 @@ class TestBatchedCampaignBitIdentity:
                                      batch=True)
         assert serial.campaign.values() == batched.campaign.values()
         assert serial.points == batched.points
-        serial_files = {p.name: p.read_bytes()
-                        for p in sorted((tmp_path / "serial").rglob("*.json"))}
-        batched_files = {p.name: p.read_bytes()
-                         for p in sorted((tmp_path / "batched").rglob("*.json"))}
-        assert serial_files.keys() == batched_files.keys()
-        assert serial_files == batched_files
+        assert_records_byte_identical(tmp_path / "serial",
+                                      tmp_path / "batched", N_SWEEP)
 
     def test_forced_dag_sweep_records_byte_identical(self, tmp_path):
         """Forced-DAG campaigns cache the same bytes batched or not.
@@ -108,12 +114,8 @@ class TestBatchedCampaignBitIdentity:
                                      store=batched_store, batch=True)
         assert all(v["engine"] == "dag" for v in batched.campaign.values())
         assert serial.campaign.values() == batched.campaign.values()
-        serial_files = {p.name: p.read_bytes()
-                        for p in sorted((tmp_path / "serial").rglob("*.json"))}
-        batched_files = {p.name: p.read_bytes()
-                         for p in sorted((tmp_path / "batched").rglob("*.json"))}
-        assert serial_files.keys() == batched_files.keys()
-        assert serial_files == batched_files
+        assert_records_byte_identical(tmp_path / "serial",
+                                      tmp_path / "batched", N_SWEEP)
 
     def test_batched_results_warm_an_unbatched_rerun(self, tmp_path):
         spec = load_bundled_scenario("campaign_rate_sweep")
@@ -164,12 +166,8 @@ class TestTelemetryDeterminism:
         prof = run_scenario_sweep(spec, engine="dag", store=prof_store)
         assert prof.campaign.values() == plain.campaign.values()
         assert prof.points == plain.points
-        plain_files = {p.name: p.read_bytes()
-                       for p in sorted((tmp_path / "plain").rglob("*.json"))}
-        prof_files = {p.name: p.read_bytes()
-                      for p in sorted((tmp_path / "profiled").rglob("*.json"))}
-        assert plain_files.keys() == prof_files.keys()
-        assert plain_files == prof_files
+        assert_records_byte_identical(tmp_path / "plain",
+                                      tmp_path / "profiled", N_SWEEP)
 
     def test_profiled_parallel_sweep_matches_plain_serial(self, profiled):
         spec = load_bundled_scenario("campaign_rate_sweep")
@@ -224,12 +222,8 @@ class TestObservabilityDeterminism:
         obs = run_scenario_sweep(spec, engine="dag", store=obs_store)
         assert obs.campaign.values() == plain.campaign.values()
         assert obs.points == plain.points
-        plain_files = {p.name: p.read_bytes()
-                       for p in sorted((tmp_path / "plain").rglob("*.json"))}
-        obs_files = {p.name: p.read_bytes()
-                     for p in sorted((tmp_path / "observed").rglob("*.json"))}
-        assert plain_files.keys() == obs_files.keys()
-        assert plain_files == obs_files
+        assert_records_byte_identical(tmp_path / "plain",
+                                      tmp_path / "observed", N_SWEEP)
 
     def test_observed_parallel_sweep_matches_plain_serial(self, observed):
         spec = load_bundled_scenario("campaign_rate_sweep")
@@ -256,11 +250,8 @@ class TestObservabilityDeterminism:
         finally:
             telemetry.disable()
         assert both.campaign.values() == plain.campaign.values()
-        plain_files = {p.name: p.read_bytes()
-                       for p in sorted((tmp_path / "plain").rglob("*.json"))}
-        both_files = {p.name: p.read_bytes()
-                      for p in sorted((tmp_path / "both").rglob("*.json"))}
-        assert plain_files == both_files
+        assert_records_byte_identical(tmp_path / "plain",
+                                      tmp_path / "both", N_SWEEP)
 
     def test_observed_warm_read_values_are_pure(self, tmp_path, observed):
         """cache_hit events must not perturb cached values."""

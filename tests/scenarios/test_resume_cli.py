@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from store_helpers import keep_only
 
 from repro.cli import main
 from repro.obs.ledger import RunLedger
@@ -27,12 +28,10 @@ class TestResume:
         (first_id,) = _run_ids(cache)
         capsys.readouterr()
 
-        # Simulate an interrupted campaign: drop most of the records.
-        store = ResultStore(cache)
-        keys = sorted(store.keys())
+        # Simulate an interrupted campaign: keep 3 of the 12 records.
+        keys = sorted(ResultStore(cache).keys())
         assert len(keys) == 12
-        for key in keys[3:]:
-            store.path_for(key).unlink()
+        assert len(keep_only(cache, keys[:3])) == 3
 
         assert _sweep(cache, "--resume", first_id) == 0
         out = capsys.readouterr().out
