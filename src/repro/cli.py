@@ -60,7 +60,8 @@ from repro.experiments import (
     run_experiment,
 )
 
-__all__ = ["main", "build_parser", "jobs_arg"]
+__all__ = ["main", "build_parser", "jobs_arg", "maybe_profiled",
+           "open_store", "retry_policy"]
 
 
 def jobs_arg(text: str) -> int:
@@ -74,6 +75,49 @@ def jobs_arg(text: str) -> int:
             f"--jobs must be >= 0 (0 = auto-detect CPU count), got {value}"
         )
     return value
+
+
+def open_store(cache_dir: "str | None"):
+    """``--cache-dir`` of ``scenario``/``report`` runs: a writable store."""
+    if cache_dir is None:
+        return None
+    from repro.runtime.store import ResultStore
+
+    store = ResultStore(cache_dir)
+    # Fail before the campaign starts, not after it computed results it
+    # cannot persist.
+    store.ensure_writable()
+    return store
+
+
+def retry_policy(args):
+    """``--retries``/``--retry-backoff``: a retry policy, or ``None``."""
+    if getattr(args, "retries", 0):
+        from repro.runtime.retry import RetryPolicy
+
+        return RetryPolicy(retries=args.retries,
+                           backoff_s=args.retry_backoff)
+    return None
+
+
+def maybe_profiled(args, label: str, tracker=None):
+    """Telemetry wiring for ``--profile`` / ``--telemetry-out`` runs.
+
+    Returns a no-op context unless profiling was requested; profiled runs
+    additionally persist their record next to the store artifacts when a
+    cache dir is in play.  With a live run ``tracker`` the written
+    telemetry path is recorded in the run's ledger entry.
+    """
+    if not (getattr(args, "profile", False) or args.telemetry_out):
+        from contextlib import nullcontext
+
+        return nullcontext()
+    from repro import telemetry
+
+    return telemetry.profiled(
+        label, out=args.telemetry_out, cache_dir=args.cache_dir,
+        on_write=tracker.set_telemetry if tracker is not None else None,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -110,6 +110,9 @@ def _cmd_ls(args) -> int:
 
 
 def _cmd_tail(args) -> int:
+    if args.n < 1:
+        print(f"runs error: -n must be >= 1, got {args.n}", file=sys.stderr)
+        return 2
     ledger = RunLedger(args.cache_dir)
     return _print_records(ledger.tail(args.n), args.as_json, ledger.root)
 

@@ -9,10 +9,10 @@ liveness itself observable:
 - :func:`sample_resources` reads the calling process's RSS and CPU time
   from ``/proc`` (falling back to :func:`resource.getrusage` where
   ``/proc`` is unavailable).  Workers sample themselves at the end of
-  every execution unit and the sample rides home through the executor's
-  pickled result channel, where the parent emits a ``worker.heartbeat``
-  event and feeds ``worker.rss_bytes`` / ``worker.cpu_s`` telemetry
-  histograms.
+  every execution unit and the sample rides home in the unit's telemetry
+  snapshot, whose merge into the parent's recorder emits a
+  ``worker.heartbeat`` event and feeds ``worker.rss_bytes`` /
+  ``worker.cpu_s`` histograms.
 - :class:`StallWatchdog` watches the parent's in-flight table between
   pool completions.  It keeps an EWMA of observed task durations and
   flags any unit that has been out for more than ``multiple`` times
@@ -24,7 +24,7 @@ liveness itself observable:
 **Determinism note.**  ``worker.heartbeat`` and ``task.stall`` are
 *pool-only* events driven by wall-clock behavior; they are explicitly
 outside the ``--jobs 1`` identity-stream contract
-(:mod:`repro.obs.events`), which serial runs keep bit-for-bit.  A
+(:mod:`repro.telemetry.recorder`), which serial runs keep bit-for-bit.  A
 watchdog can misfire on a genuinely slow (not hung) task — a stall
 event is a *warning* by default: the executor's failure isolation
 already bounds the damage of a truly dead worker.  With
@@ -40,7 +40,7 @@ import os
 import time
 from typing import Any, Mapping
 
-from repro.obs import events
+from repro import telemetry
 
 __all__ = ["StallWatchdog", "sample_resources"]
 
@@ -169,7 +169,7 @@ class StallWatchdog:
             flagged.append(token)
             for _pos, spec in unit:
                 self.n_stalled += 1
-                events.emit("task.stall", index=spec.index)
+                telemetry.emit("task.stall", index=spec.index)
         return flagged
 
     def scan(self, in_flight: "Mapping[Any, tuple]",

@@ -7,7 +7,7 @@ landed.  One atomically written single-line JSON file per run keeps the
 ledger append-only under concurrent campaigns (two runs never contend
 on one file) while ``cat runs/*.json`` still yields valid JSONL.
 
-:class:`RunTracker` is the bus subscriber that accumulates a record's
+:class:`RunTracker` is the recorder subscriber that accumulates a record's
 fields from lifecycle events; :class:`RunLedger` reads and writes the
 directory.  The CLI surface is :mod:`repro.obs.cli` (``runs ls|show|
 tail``).
@@ -23,7 +23,7 @@ import uuid
 from pathlib import Path
 from typing import Iterator
 
-from repro.obs.events import EVENT_VERSION
+from repro.telemetry.recorder import EVENT_VERSION
 
 __all__ = ["RUN_RECORD_VERSION", "RunLedger", "RunTracker", "new_run_id",
            "render_run_summary"]
@@ -49,7 +49,7 @@ def new_run_id(kind: str, started_unix: float) -> str:
 class RunTracker:
     """Accumulates one ledger record from the event stream.
 
-    Subscribe :meth:`handle` to the bus; the first ``run.start`` defines
+    Subscribe :meth:`handle` to the recorder; the first ``run.start`` defines
     the run's identity (kind, name, totals, spec key) and later ones are
     ignored — nested or worker-side lifecycles never overwrite the
     outer run.  Callers attach out-of-band provenance directly:
@@ -86,7 +86,7 @@ class RunTracker:
         self.telemetry: "str | None" = None
         self.artifacts: "list[str]" = []
 
-    # -- bus subscriber -----------------------------------------------
+    # -- recorder subscriber ------------------------------------------
 
     def handle(self, event: tuple) -> None:
         _, name, _, _, data = event
@@ -284,5 +284,6 @@ class RunLedger:
         return matches[0]
 
     def tail(self, n: int = 10) -> "list[dict]":
-        """The most recent ``n`` records, oldest of them first."""
-        return list(self.records())[-n:]
+        """The most recent ``n`` records, oldest of them first (none for
+        ``n <= 0``)."""
+        return list(self.records())[-n:] if n > 0 else []

@@ -1,7 +1,8 @@
-"""TTY progress rendering: one live line driven by bus events.
+"""TTY progress rendering: one live line driven by lifecycle events.
 
-:class:`ProgressRenderer` subscribes to the event bus and keeps a single
-``\\r``-rewritten line on ``stderr`` up to date with task counts,
+:class:`ProgressRenderer` subscribes to the telemetry recorder's
+lifecycle events (:meth:`repro.telemetry.Recorder.subscribe`) and keeps
+a single ``\\r``-rewritten line on ``stderr`` up to date with task counts,
 throughput, cache-hit rate, and an ETA derived from an exponentially
 weighted moving average of completion gaps.  It is a pure *consumer*:
 it never touches run state, so attaching or detaching it cannot change

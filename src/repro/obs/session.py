@@ -1,7 +1,7 @@
-"""One observed run: bus lifecycle, progress wiring, ledger write.
+"""One observed run: recorder lifecycle, progress wiring, ledger write.
 
 :func:`observe_run` is the CLI-facing composition root of the obs layer.
-It enables the event bus for the duration of one run, attaches the
+It enables the telemetry recorder for the duration of one run, attaches the
 :class:`~repro.obs.ledger.RunTracker` (always) and the
 :class:`~repro.obs.progress.ProgressRenderer` (when requested, or
 automatically on a TTY), and on exit — success *or* failure — builds
@@ -19,7 +19,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from repro.obs import events
+from repro import telemetry
 from repro.obs.ledger import RunLedger, RunTracker, new_run_id, \
     render_run_summary
 from repro.obs.progress import ProgressRenderer
@@ -54,13 +54,13 @@ def observe_run(kind: str, name: str, cache_dir=None,
     if progress is None:
         progress = bool(getattr(stream, "isatty", lambda: False)())
 
-    bus = events.enable()
+    rec = telemetry.enable()
     tracker = RunTracker()
-    bus.subscribe(tracker.handle)
+    rec.subscribe(tracker.handle)
     renderer = None
     if progress:
         renderer = ProgressRenderer(stream=stream)
-        bus.subscribe(renderer.handle)
+        rec.subscribe(renderer.handle)
 
     started_unix = time.time()
     t0 = time.perf_counter()
@@ -83,7 +83,7 @@ def observe_run(kind: str, name: str, cache_dir=None,
         # A runner that crashed before its own run.finish still closes
         # the lifecycle, so subscribers always see a complete stream.
         if not tracker.run_finished:
-            events.emit("run.finish", status=status)
+            rec.emit("run.finish", status=status)
         if renderer is not None:
             if status == "ok":
                 renderer.finish()
@@ -92,7 +92,7 @@ def observe_run(kind: str, name: str, cache_dir=None,
                 # print — erase the half-painted line instead of leaving
                 # it for the diagnostics to concatenate onto.
                 renderer.clear()
-        events.disable()
+        telemetry.disable()
 
         wall_s = time.perf_counter() - t0
         finished_unix = time.time()

@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 
-from repro.cli import jobs_arg
+from repro.cli import jobs_arg, maybe_profiled, open_store, retry_policy
 from repro.reports.compiler import compile_report
 from repro.reports.errors import ReportError
 from repro.reports.kernels import get_kernel, kernel_names
@@ -97,27 +97,6 @@ def build_report_parser() -> argparse.ArgumentParser:
                             "new ledger record links back via resumed_from "
                             "(requires --cache-dir)")
     return parser
-
-
-def _store(cache_dir: "str | None"):
-    if cache_dir is None:
-        return None
-    from repro.runtime.store import ResultStore
-
-    store = ResultStore(cache_dir)
-    # Fail before the campaign starts, not after it computed results it
-    # cannot persist.
-    store.ensure_writable()
-    return store
-
-
-def _retry_policy(args):
-    if getattr(args, "retries", 0):
-        from repro.runtime.retry import RetryPolicy
-
-        return RetryPolicy(retries=args.retries,
-                           backoff_s=args.retry_backoff)
-    return None
 
 
 def _cmd_list(args) -> int:
@@ -194,21 +173,11 @@ def _cmd_run(args) -> int:
                          progress=args.progress) as tracker:
             if resumed is not None:
                 tracker.set_resumed_from(resumed["id"])
-            if args.profile or args.telemetry_out:
-                from repro import telemetry
-
-                profiled = telemetry.profiled(
-                    "report.run", out=args.telemetry_out,
-                    cache_dir=args.cache_dir, on_write=tracker.set_telemetry)
-            else:
-                from contextlib import nullcontext
-
-                profiled = nullcontext()
-            with profiled:
+            with maybe_profiled(args, "report.run", tracker):
                 result = run_report(
-                    compiled, store=_store(args.cache_dir), jobs=args.jobs,
+                    compiled, store=open_store(args.cache_dir), jobs=args.jobs,
                     batch=not args.no_batch,
-                    retry=_retry_policy(args),
+                    retry=retry_policy(args),
                     stall_action=args.stall_action,
                 )
             print(result.render())

@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.timing import RunTiming
-from repro.runtime.executor import TaskBatcher
+from repro.runtime.executor import TaskBatcher, contiguous_blocks
 from repro.runtime.spec import RunSpec, hashable
 from repro.scenarios.tasks import resolve_task_scenario
 
@@ -93,21 +93,7 @@ class ReportTaskBatcher(TaskBatcher):
     max_block: int = 64
 
     def plan(self, specs: "Sequence[RunSpec]") -> "list[list[int]]":
-        blocks: "list[list[int]]" = []
-        current: "list[int]" = []
-        current_sig: "tuple | None" = None
-        for i, spec in enumerate(specs):
-            sig = self._signature(spec)
-            if (sig is not None and sig == current_sig
-                    and len(current) < self.max_block):
-                current.append(i)
-            else:
-                if current:
-                    blocks.append(current)
-                current, current_sig = [i], sig
-        if current:
-            blocks.append(current)
-        return blocks
+        return contiguous_blocks(map(self._signature, specs), self.max_block)
 
     @staticmethod
     def _signature(spec: RunSpec) -> "tuple | None":

@@ -66,7 +66,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro import telemetry
-from repro.obs import events
 from repro.runtime import chaos
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.spec import RunSpec
@@ -78,6 +77,7 @@ __all__ = [
     "TaskBatcher",
     "TaskError",
     "TaskResult",
+    "contiguous_blocks",
     "resolve_jobs",
     "run_campaign",
 ]
@@ -232,6 +232,31 @@ class TaskBatcher:
         raise NotImplementedError
 
 
+def contiguous_blocks(signatures: "Iterable[Any]",
+                      max_block: int) -> "list[list[int]]":
+    """Group runs of equal, non-``None`` signatures into index blocks.
+
+    The shared :meth:`TaskBatcher.plan` of signature-keyed batchers:
+    consecutive tasks join one block while their batch-compatibility
+    signature matches and the block holds fewer than ``max_block``
+    tasks; a ``None`` signature always starts (and ends) its own block.
+    """
+    blocks: "list[list[int]]" = []
+    current: "list[int]" = []
+    current_sig = None
+    for i, sig in enumerate(signatures):
+        if (sig is not None and sig == current_sig
+                and len(current) < max_block):
+            current.append(i)
+        else:
+            if current:
+                blocks.append(current)
+            current, current_sig = [i], sig
+    if current:
+        blocks.append(current)
+    return blocks
+
+
 def _execute(spec: RunSpec,
              retry: "RetryPolicy | None" = None
              ) -> "tuple[str, Any, float, tuple[int, float]]":
@@ -255,7 +280,7 @@ def _execute(spec: RunSpec,
     wasted = 0.0
     while True:
         status, payload = "ok", None
-        events.emit("task.start", index=spec.index)
+        telemetry.emit("task.start", index=spec.index)
         with telemetry.timed_span("executor.task", fn=spec.fn) as sp:
             try:
                 if chaos.active() is not None:
@@ -271,7 +296,7 @@ def _execute(spec: RunSpec,
         wasted += sp.duration
         telemetry.count("executor.task_retries")
         telemetry.observe("executor.retry_wasted_s", sp.duration)
-        events.emit("task.retry", index=spec.index, attempt=attempt)
+        telemetry.emit("task.retry", index=spec.index, attempt=attempt)
         retry.sleep(spec, attempt)
 
 
@@ -314,7 +339,7 @@ def _execute_block(
         # The failed block emitted no per-task events (it never started
         # any task individually), so the fallback's task.start stream
         # counts each task exactly once.
-        events.emit("block.fallback", n_tasks=len(unit))
+        telemetry.emit("block.fallback", n_tasks=len(unit))
         return [_execute(spec, retry) for spec in unit]
     telemetry.observe("executor.block_size", len(unit))
     per_task = sp.duration / len(unit)
@@ -324,41 +349,33 @@ def _execute_block(
 def _execute_unit(
     unit: "tuple[RunSpec, ...]",
     batcher: "TaskBatcher | None",
-    profile: bool = False,
+    record: bool = False,
     submit_t: "float | None" = None,
-    observe: bool = False,
     retry: "RetryPolicy | None" = None,
-) -> "tuple[list[tuple], dict | None, list | None, dict | None]":
+) -> "tuple[list[tuple], dict | None]":
     """Run one unit (a single task or a batched block) plus its telemetry.
 
-    Returns ``(outcomes, snapshot, events, health)`` where ``snapshot``
-    is the unit's own telemetry, ``events`` its drained lifecycle
-    events, and ``health`` a post-unit resource sample of the worker
-    process (:func:`repro.obs.health.sample_resources`) — the heartbeat
-    payload the parent turns into a ``worker.heartbeat`` event.  The
-    pool backend passes ``profile=True`` / ``observe=True`` into its
-    worker processes, each of which records into a fresh recorder/bus of
-    its own and ships the data back through the result channel;
-    ``enable()`` here also discards the stale recorder/bus copy a
-    fork-started worker inherits from a profiling parent.  The serial
-    backend records straight into the caller's recorder and bus and
-    returns ``None`` for snapshot, events, and health alike (serial runs
-    emit no heartbeats — see the determinism note in
-    :mod:`repro.obs.health`).  ``submit_t`` is the parent's
-    ``perf_counter()`` at submission: ``perf_counter`` is system-wide
-    monotonic on Linux, so the difference is the unit's pool queue wait.
-    ``retry`` applies the per-task retry policy inside this process (see
-    :func:`_execute`), so backoff sleeps occupy the worker, never the
-    parent's completion loop.
+    Returns ``(outcomes, snapshot)``.  With ``record`` — the pool
+    backend passes it into its workers whenever the parent is recording
+    — the unit runs under a fresh recorder of its own (which also
+    discards the stale copy a fork-started worker inherits), and
+    ``snapshot`` is that recorder's plain-data export: spans, counters,
+    lifecycle events, and a ``health`` post-unit resource sample of the
+    worker (:func:`repro.obs.health.sample_resources`), which the
+    parent's :meth:`~repro.telemetry.Recorder.merge` turns into a
+    ``worker.heartbeat``.  The serial backend records straight into the
+    caller's recorder and gets ``None`` back (serial runs emit no
+    heartbeats — see the determinism note in :mod:`repro.obs.health`).
+    ``submit_t`` is the parent's ``perf_counter()`` at submission:
+    ``perf_counter`` is system-wide monotonic on Linux, so the
+    difference is the unit's pool queue wait.  ``retry`` applies the
+    per-task retry policy inside this process (see :func:`_execute`), so
+    backoff sleeps occupy the worker, never the parent's completion loop.
     """
-    owns = profile
-    if owns:
-        telemetry.enable()
-    owns_events = observe
-    if owns_events:
+    if record:
         # in_run: the worker executes one unit of the parent's run, so
         # task code must not open a nested run lifecycle of its own.
-        events.enable(in_run=True)
+        telemetry.enable().mark_in_run()
     try:
         if submit_t is not None:
             telemetry.observe("executor.queue_wait_s",
@@ -369,16 +386,14 @@ def _execute_unit(
             outcomes = _execute_block(unit, batcher, retry)
     finally:
         # Workers are reused across units: always release an owned
-        # recorder/bus, or an aborting unit would leave it live (and
-        # growing) for every later unit this process executes.
-        snap = telemetry.disable().snapshot() if owns else None
-        drained = events.disable().drain() if owns_events else None
-    health = None
-    if owns or owns_events:
+        # recorder, or an aborting unit would leave it live (and growing)
+        # for every later unit this process executes.
+        snap = telemetry.disable().snapshot() if record else None
+    if snap is not None:
         from repro.obs.health import sample_resources
 
-        health = sample_resources()
-    return outcomes, snap, drained, health
+        snap["health"] = sample_resources()
+    return outcomes, snap
 
 
 def _plan_units(
@@ -421,13 +436,13 @@ def _as_task_result(spec: RunSpec, status: str, payload: Any,
 def _emit_dispatch(unit: "tuple[tuple[int, RunSpec], ...]") -> None:
     """Publish a unit's submission: one ``task.submit`` per task, plus a
     ``block.dispatch`` header for multi-task blocks."""
-    if not events.enabled():
+    rec = telemetry.current_recorder()
+    if rec is None:
         return
     if len(unit) > 1:
-        events.emit("block.dispatch", n_tasks=len(unit),
-                    first=unit[0][1].index)
+        rec.emit("block.dispatch", n_tasks=len(unit), first=unit[0][1].index)
     for _, spec in unit:
-        events.emit("task.submit", index=spec.index)
+        rec.emit("task.submit", index=spec.index)
 
 
 def run_campaign(
@@ -465,7 +480,7 @@ def run_campaign(
         only reduces per-task invocation overhead.
     watchdog:
         Optional :class:`repro.obs.health.StallWatchdog` for the pool
-        backend.  When an event bus is live and none is given, a default
+        backend.  When telemetry is recording and none is given, a default
         watchdog is installed; pass one to tune its thresholds (tests
         inject aggressive ones).  Serial runs never use it — stall
         detection is pool-only by the determinism contract.
@@ -508,23 +523,23 @@ def run_campaign(
             store.put(result.spec.key, result.value, spec=result.spec.describe())
         # Terminal lifecycle events carry only the task index: payloads
         # with durations or tracebacks would break the event-identity
-        # determinism contract (repro.obs.events).
+        # determinism contract (repro.telemetry.recorder).
         if result.cached:
-            events.emit("task.cache_hit", index=result.index)
+            telemetry.emit("task.cache_hit", index=result.index)
         elif result.ok:
-            events.emit("task.done", index=result.index)
+            telemetry.emit("task.done", index=result.index)
         else:
-            events.emit("task.failed", index=result.index)
+            telemetry.emit("task.failed", index=result.index)
         if on_result is not None:
             on_result(result)
 
-    # A campaign is always *inside* a run: mark the bus so task code
-    # that would own a run lifecycle at top level (run_scenario inside
-    # scenario_task) stays silent — even when run_campaign is driven
-    # directly without an enclosing runner.
-    bus = events.current_bus()
-    if bus is not None:
-        bus.mark_in_run()
+    # A campaign is always *inside* a run: mark the recorder so task
+    # code that would own a run lifecycle at top level (run_scenario
+    # inside scenario_task) stays silent — even when run_campaign is
+    # driven directly without an enclosing runner.
+    rec = telemetry.current_recorder()
+    if rec is not None:
+        rec.mark_in_run()
     pool_stats = {"respawns": 0, "redispatched": 0}
     try:
         # ``elapsed`` is the span's wall clock — the same two perf_counter
@@ -548,7 +563,7 @@ def run_campaign(
             if jobs == 1 or len(units) <= 1:
                 for unit in units:
                     _emit_dispatch(unit)
-                    outcomes, _, _, _ = _execute_unit(
+                    outcomes, _ = _execute_unit(
                         tuple(spec for _, spec in unit), batcher, retry=retry)
                     for (pos, spec), outcome in zip(unit, outcomes):
                         finish(pos, _as_task_result(spec, *outcome))
@@ -557,8 +572,8 @@ def run_campaign(
                                        watchdog, retry, stall_action,
                                        quarantine_after)
     finally:
-        if bus is not None:
-            bus.unmark_in_run()
+        if rec is not None:
+            rec.unmark_in_run()
 
     return CampaignResult(
         results=tuple(slots),
@@ -607,10 +622,11 @@ def _run_pool(
     if the pool cannot even be (re)started, the remaining tasks are
     recorded as failures and the campaign result stays complete.
 
-    When an event bus is live, the completion loop also runs worker
-    health plumbing: each returned unit's resource sample becomes a
-    ``worker.heartbeat`` event (plus ``worker.rss_bytes`` /
-    ``worker.cpu_s`` telemetry histograms), and between completions a
+    When telemetry is recording, the completion loop also runs worker
+    health plumbing: each returned unit's snapshot is merged — its
+    resource sample becoming a ``worker.heartbeat`` event (plus
+    ``worker.rss_bytes`` / ``worker.cpu_s`` histograms), zombies
+    included — and between completions a
     :class:`~repro.obs.health.StallWatchdog` scans the in-flight table,
     emitting ``task.stall`` for units out far longer than the EWMA task
     duration.  With ``stall_action="retry"`` a flagged unit's future is
@@ -637,9 +653,8 @@ def _run_pool(
     crashes: "dict[int, int]" = {}  # position -> worker kills survived
     redispatches: "dict[int, int]" = {}  # position -> re-dispatch count
     stats = {"respawns": 0, "redispatched": 0}
-    profile = telemetry.enabled()
-    observe = events.enabled()
-    if watchdog is None and observe:
+    record = telemetry.enabled()
+    if watchdog is None and record:
         from repro.obs.health import StallWatchdog
 
         watchdog = StallWatchdog()
@@ -653,6 +668,21 @@ def _run_pool(
     def finish_pos(pos: int, result: TaskResult) -> None:
         completed.add(pos)
         finish(pos, result)
+
+    def complete(unit, outcomes, snap) -> None:
+        """Apply one returned unit: durations, telemetry, task results."""
+        if watchdog is not None:
+            for outcome in outcomes:
+                watchdog.note_duration(outcome[2])
+        # Worker spans land under the live campaign.run span with their
+        # counters/histograms summed in; worker lifecycle events are
+        # re-sequenced onto the live recorder, and the worker's resource
+        # sample becomes a heartbeat.  A died block's telemetry never
+        # came back, so its retried singletons are the only events its
+        # tasks produce.
+        telemetry.merge_snapshot(snap)
+        for (pos, spec), outcome in zip(unit, outcomes):
+            finish_pos(pos, _as_task_result(spec, *outcome))
 
     def fail_unit(unit, note: str) -> None:
         telemetry.count("executor.not_attempted", len(unit))
@@ -671,7 +701,7 @@ def _run_pool(
         n = redispatches[pos] = redispatches.get(pos, 0) + 1
         stats["redispatched"] += 1
         telemetry.count("executor.task_redispatches")
-        events.emit("task.retry", index=spec.index, attempt=n)
+        telemetry.emit("task.retry", index=spec.index, attempt=n)
 
     def absorb_crash(suspect_units) -> None:
         """Sort a broken generation's casualties into probe vs quarantine."""
@@ -681,7 +711,7 @@ def _run_pool(
                 n = crashes[pos] = crashes.get(pos, 0) + 1
                 if n >= quarantine_after:
                     telemetry.count("executor.quarantined")
-                    events.emit("task.quarantined", index=spec.index)
+                    telemetry.emit("task.quarantined", index=spec.index)
                     finish_pos(pos, TaskResult(
                         spec=spec, quarantined=True,
                         error=(f"quarantined after killing its worker "
@@ -713,7 +743,7 @@ def _run_pool(
             submit_t = time.perf_counter()
             try:
                 future = pool.submit(_execute_unit, spec_block, batcher,
-                                     profile, submit_t, observe, retry)
+                                     record, submit_t, retry)
             except BrokenProcessPool:
                 raise _PoolBroke([unit] + [u for u, _ in in_flight.values()])
             except Exception:  # shutdown races, unpicklable spec
@@ -773,18 +803,10 @@ def _run_pool(
                         # its re-dispatch owns recovery.
                         zombie_unit = abandoned.pop(future)
                         try:
-                            outcomes, snap, drained, _health = \
-                                future.result()
+                            outcomes, snap = future.result()
                         except Exception:
                             continue
-                        telemetry.merge_snapshot(snap)
-                        events.absorb(drained)
-                        if watchdog is not None:
-                            for outcome in outcomes:
-                                watchdog.note_duration(outcome[2])
-                        for (pos, spec), outcome in zip(zombie_unit,
-                                                        outcomes):
-                            finish_pos(pos, _as_task_result(spec, *outcome))
+                        complete(zombie_unit, outcomes, snap)
                         continue
                     if future not in in_flight:
                         continue
@@ -792,7 +814,7 @@ def _run_pool(
                     if watchdog is not None:
                         watchdog.forget(future)
                     try:
-                        outcomes, snap, drained, health = future.result()
+                        outcomes, snap = future.result()
                     except BrokenProcessPool:
                         raise _PoolBroke(
                             [unit] + [u for u, _ in in_flight.values()])
@@ -812,26 +834,9 @@ def _run_pool(
                             telemetry.count("executor.block_retries")
                             block_retries.extend((entry,) for entry in unit)
                             continue
-                        outcomes, snap, drained, health = \
-                            [("error", traceback.format_exc(), 0.0,
-                              _NO_RETRIES)], None, None, None
-                    if watchdog is not None:
-                        for outcome in outcomes:
-                            watchdog.note_duration(outcome[2])
-                    # Worker spans land under the live campaign.run span
-                    # with their counters/histograms summed in; worker
-                    # lifecycle events are re-sequenced onto the live bus.
-                    # A died block's events never came back, so its retried
-                    # singletons are the only events its tasks produce.
-                    telemetry.merge_snapshot(snap)
-                    events.absorb(drained)
-                    if health is not None:
-                        events.emit("worker.heartbeat", **health)
-                        telemetry.observe("worker.rss_bytes",
-                                          health["rss_bytes"])
-                        telemetry.observe("worker.cpu_s", health["cpu_s"])
-                    for (pos, spec), outcome in zip(unit, outcomes):
-                        finish_pos(pos, _as_task_result(spec, *outcome))
+                        outcomes, snap = [("error", traceback.format_exc(),
+                                           0.0, _NO_RETRIES)], None
+                    complete(unit, outcomes, snap)
                 refill()
         except _PoolBroke as broke:
             stats["respawns"] += 1
@@ -847,7 +852,7 @@ def _run_pool(
                     f"worker pool broke ({len(broke.units)} unit(s) in "
                     "flight); respawning and re-dispatching the suspects "
                     "one at a time", RuntimeWarning, stacklevel=2)
-                events.emit("pool.respawn")
+                telemetry.emit("pool.respawn")
             continue
         except BaseException:
             # ^C / SystemExit / unexpected error: deliberate shutdown —

@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from repro.cli import jobs_arg
+from repro.cli import jobs_arg, maybe_profiled, open_store, retry_policy
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.errors import ScenarioError
 from repro.scenarios.registry import (
@@ -97,27 +97,6 @@ def build_scenario_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _store(cache_dir: "str | None"):
-    if cache_dir is None:
-        return None
-    from repro.runtime.store import ResultStore
-
-    store = ResultStore(cache_dir)
-    # Fail before the campaign starts, not after it computed results it
-    # cannot persist.
-    store.ensure_writable()
-    return store
-
-
-def _retry_policy(args):
-    if getattr(args, "retries", 0):
-        from repro.runtime.retry import RetryPolicy
-
-        return RetryPolicy(retries=args.retries,
-                           backoff_s=args.retry_backoff)
-    return None
-
-
 def _resume_record(args, spec) -> "tuple[dict | None, str | None]":
     """Resolve ``--resume RUN_ID`` to its ledger record.
 
@@ -147,26 +126,6 @@ def _resume_record(args, spec) -> "tuple[dict | None, str | None]":
             f"(spec_key {record['spec_key']}, this invocation {spec_key}); "
             "pass the same scenario, --seed, and --engine to resume it")
     return record, None
-
-
-def _maybe_profiled(args, label: str, tracker=None):
-    """Telemetry wiring for ``--profile`` / ``--telemetry-out`` runs.
-
-    Returns a no-op context unless profiling was requested; profiled runs
-    additionally persist their record next to the store artifacts when a
-    cache dir is in play.  With a live run ``tracker`` the written
-    telemetry path is recorded in the run's ledger entry.
-    """
-    if not (getattr(args, "profile", False) or args.telemetry_out):
-        from contextlib import nullcontext
-
-        return nullcontext()
-    from repro import telemetry
-
-    return telemetry.profiled(
-        label, out=args.telemetry_out, cache_dir=args.cache_dir,
-        on_write=tracker.set_telemetry if tracker is not None else None,
-    )
 
 
 def _cmd_list(args) -> int:
@@ -215,7 +174,7 @@ def _cmd_validate(args) -> int:
 
 
 def _observed_sweep(args, spec) -> int:
-    """One observed sweep: event bus + progress + ledger + exit summary."""
+    """One observed sweep: recorder + progress + ledger + exit summary."""
     from repro.obs import observe_run
     from repro.runtime.store import StoreError
 
@@ -229,12 +188,12 @@ def _observed_sweep(args, spec) -> int:
                          progress=args.progress) as tracker:
             if resumed is not None:
                 tracker.set_resumed_from(resumed["id"])
-            with _maybe_profiled(args, "scenario.sweep", tracker):
+            with maybe_profiled(args, "scenario.sweep", tracker):
                 result = run_scenario_sweep(
                     spec, base_seed=args.seed, engine=args.engine,
-                    jobs=args.jobs, store=_store(args.cache_dir),
+                    jobs=args.jobs, store=open_store(args.cache_dir),
                     batch=not args.no_batch,
-                    retry=_retry_policy(args),
+                    retry=retry_policy(args),
                     stall_action=args.stall_action,
                 )
             tracker.set_retry_wasted(result.campaign.retry_wasted_s)
@@ -257,7 +216,7 @@ def _cmd_run(args) -> int:
 
     with observe_run("scenario.run", spec.name, cache_dir=args.cache_dir,
                      progress=args.progress) as tracker:
-        with _maybe_profiled(args, "scenario.run", tracker):
+        with maybe_profiled(args, "scenario.run", tracker):
             run = run_scenario(spec, seed=args.seed, engine=args.engine)
         print(run.render())
     return 0

@@ -1,4 +1,4 @@
-"""Zero-dependency runtime telemetry: spans, counters, sinks, stats CLI.
+"""Zero-dependency runtime telemetry: spans, counters, events, sinks.
 
 Instrumentation sites call the module-level fast path::
 
@@ -8,12 +8,14 @@ Instrumentation sites call the module-level fast path::
         ...
         sp.set(n_levels=levels)
     telemetry.count("dag.cache.hits")
+    telemetry.emit("task.done", index=spec.index)
 
-which is a no-op (shared null span, no clock reads) unless a CLI
-``--profile`` run — or a test — has called :func:`enable`.  The
-:func:`profiled` context manager is the one-stop wiring used by
-``scenario run|sweep`` and ``report run``: enable, open a root span,
-and on exit snapshot, write sinks, and print the summary.
+which is a no-op (shared null span, no clock reads) unless an observed
+CLI run (:func:`repro.obs.observe_run`) — or a test — has called
+:func:`enable`.  The :func:`profiled` context manager is the
+``--profile`` wiring used by ``scenario run|sweep`` and ``report run``:
+open a root span, and on exit snapshot, write sinks, and print the
+summary.
 """
 
 from __future__ import annotations
@@ -23,14 +25,18 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .recorder import (
+    EVENT_VERSION,
+    KNOWN_EVENTS,
     Recorder,
     Span,
     count,
     current_recorder,
     disable,
+    emit,
     enable,
     enabled,
     gauge,
+    in_run,
     merge_snapshot,
     observe,
     span,
@@ -41,15 +47,19 @@ from .trace_export import export_chrome_trace, validate_trace, \
     write_chrome_trace
 
 __all__ = [
+    "EVENT_VERSION",
+    "KNOWN_EVENTS",
     "Recorder",
     "Span",
     "count",
     "current_recorder",
     "disable",
+    "emit",
     "enable",
     "enabled",
     "export_chrome_trace",
     "gauge",
+    "in_run",
     "merge_snapshot",
     "observe",
     "profiled",
@@ -69,35 +79,30 @@ def profiled(label: str, out=None, cache_dir=None, echo=print,
              on_write=None):
     """Record one profiled run and flush it to sinks on exit.
 
-    Enables telemetry, opens a root span named ``label``, and yields the
-    live recorder.  On exit (even via an exception) the recorder is
-    snapshotted and disabled, the JSONL export is written to ``out``
-    (``--telemetry-out``) and/or persisted under
+    Reuses the live recorder when there is one (the CLI nests
+    ``profiled`` inside ``observe_run``, which enabled it), else enables
+    a fresh one and disables it again on exit.  Opens a root span named
+    ``label`` and yields the recorder.  On exit (even via an exception)
+    the recorder is snapshotted — spans, counters, and the lifecycle
+    events recorded so far, on one timeline — the JSONL export is
+    written to ``out`` (``--telemetry-out``) and/or persisted under
     ``<cache_dir>/telemetry/<label>-<unix>.jsonl`` next to the store
-    artifacts, and the summary table is printed through ``echo``
-    (pass ``echo=None`` to silence it).  ``on_write`` is called with
-    each written path — the run ledger uses it to record where a run's
+    artifacts, and the summary table is printed through ``echo`` (pass
+    ``echo=None`` to silence it).  ``on_write`` is called with each
+    written path — the run ledger uses it to record where a run's
     telemetry landed.
-
-    When an obs event bus is live (the CLI nests ``profiled`` inside
-    ``observe_run``), the lifecycle events emitted so far ride along in
-    the snapshot as ``events`` — timestamps rebased into the recorder's
-    clock domain — so one JSONL file carries both observation channels
-    and ``stats trace`` can lay them out on a single timeline.
     """
-    rec = enable()
+    rec = current_recorder()
+    owns = rec is None
+    if owns:
+        rec = enable()
     try:
         with rec.span(label):
             yield rec
     finally:
         snap = rec.snapshot()
-        disable()
-        from repro.obs import events as obs_events
-
-        bus = obs_events.current_bus()
-        if bus is not None and bus.events:
-            snap["events"] = [(name, t + bus.t0, data)
-                              for _, name, t, _, data in bus.events]
+        if owns:
+            disable()
         paths = []
         if out:
             paths.append(write_jsonl(snap, out, label=label))

@@ -1,52 +1,68 @@
-"""Process-local telemetry recorder: spans, counters, gauges, histograms.
+"""Process-local telemetry recorder: spans, counters, histograms, events.
 
-The runtime telemetry substrate the campaign server, store scale-out, and
-adaptive-planner work measure themselves with.  Design constraints, in
+The one instrumentation stream of a run.  Spans and counters answer
+*"where did the time go?"* after the run; lifecycle events (``run.start``,
+``task.done``, ``worker.heartbeat``, ...) answer *"what is happening right
+now?"* during it, delivered synchronously to subscribers such as the
+progress renderer and the run ledger's tracker.  Design constraints, in
 order:
 
 1. **Zero cost when disabled.**  Every instrumentation point in a hot
    path compiles down to one module-global check: :func:`span` returns a
-   shared no-op object, :func:`count`/:func:`gauge`/:func:`observe`
-   return immediately.  Disabled telemetry must never show up in a
-   profile (``benchmarks/bench_telemetry.py`` asserts < 2% overhead even
-   *enabled*).
-2. **Cheap when enabled.**  A finished span is one list append of a
-   plain tuple; counters/histograms are dict updates.  No locks — a
-   recorder is process-local by construction, and worker processes run
-   their own (merged back explicitly, see :func:`merge_snapshot`).
+   shared no-op object, :func:`count`/:func:`gauge`/:func:`observe`/
+   :func:`emit` return immediately.  Disabled telemetry must never show
+   up in a profile (``benchmarks/bench_telemetry.py`` asserts < 2%
+   overhead even *enabled*).
+2. **Cheap when enabled.**  A finished span or an event is one list
+   append of a plain tuple; counters/histograms are dict updates.  No
+   locks — a recorder is process-local by construction, and worker
+   processes run their own (merged back explicitly, see
+   :func:`merge_snapshot`).
 3. **Plain-data export.**  :meth:`Recorder.snapshot` returns nothing but
    dicts/lists/tuples of builtins, so snapshots travel through the
    executor's pickled result channel and serialize to JSONL unchanged
    (:mod:`repro.telemetry.sinks`).
 
-Span clocks are ``time.perf_counter()`` values.  Within one process they
-are exact; across the processes of one campaign they are comparable
-wherever ``perf_counter`` is system-wide monotonic (Linux), and merged
-worker spans are only ever *grouped by name* in the summaries, never
-ordered against parent-process spans, so a platform with per-process
-clocks degrades gracefully.
+Span and event clocks are ``time.perf_counter()`` values.  Within one
+process they are exact; across the processes of one campaign they are
+comparable wherever ``perf_counter`` is system-wide monotonic (Linux),
+and merged worker spans are only ever *grouped by name* in the
+summaries, never ordered against parent-process spans, so a platform
+with per-process clocks degrades gracefully.
+
+**Event determinism contract.**  An event's *identity* is ``(seq, name,
+data)`` — its position, type, and payload.  Timestamps are carried
+separately and excluded from :meth:`Recorder.identity`, so two runs of
+the same campaign with the same seed and ``--jobs 1`` produce *equal*
+identity streams.  Event payloads must therefore never contain
+durations, wall-clock values, tracebacks, or memory addresses — put
+those in spans, histograms, or the run ledger instead.
 
 Naming convention (see CONTRIBUTING.md): dotted lowercase
 ``layer.noun[.verb]`` — ``engine.dag.propagate`` (span),
 ``dag.cache.hits`` (counter), ``executor.queue_wait_s`` (histogram; the
-unit suffix is part of the name).
+unit suffix is part of the name), ``task.done`` (event).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 __all__ = [
+    "EVENT_VERSION",
+    "KNOWN_EVENTS",
     "Recorder",
     "Span",
     "count",
     "current_recorder",
     "disable",
+    "emit",
     "enable",
     "enabled",
     "gauge",
+    "in_run",
     "merge_snapshot",
     "observe",
     "span",
@@ -58,6 +74,40 @@ _perf_counter = time.perf_counter
 #: Snapshot schema version (bumped on incompatible layout changes; the
 #: JSONL sink re-exports it as the file's ``version`` field).
 SNAPSHOT_VERSION = 1
+
+#: Version of the event schema (names + payload conventions).  Bump on
+#: renames or payload-shape changes and note it in the PR description —
+#: ledger records carry it so old records stay interpretable.  v2 added
+#: the fault-tolerance events: ``task.retry``, ``task.quarantined``,
+#: ``pool.respawn``.
+EVENT_VERSION = 2
+
+#: The typed lifecycle vocabulary.  ``emit`` does not enforce membership
+#: (forward compatibility for downstream consumers), but events outside
+#: this set are invisible to the progress renderer and the run tracker.
+#:
+#: The ``worker.*`` family, ``task.stall``, and ``pool.respawn`` are
+#: **pool-only**: they describe wall-clock health (heartbeats, stalled
+#: tasks, dead workers) that serial runs never emit, so the ``--jobs 1``
+#: identity-stream determinism contract above is unaffected.  Their
+#: payloads still follow the rules (no durations or timestamps in
+#: ``data``) — resource figures like ``rss_bytes`` are measurements,
+#: carried because these events are already outside the identity
+#: contract by construction.  ``task.retry`` (payload: ``index``,
+#: ``attempt``) fires for both worker-side soft retries — deterministic
+#: given deterministic failures, e.g. under the chaos harness — and
+#: pool-side re-dispatches after a worker death or abandoned stall,
+#: which are pool-only like the events that caused them.
+#: ``task.quarantined`` precedes the ``task.failed`` of a task the
+#: executor refuses to run again.
+KNOWN_EVENTS = frozenset({
+    "run.start", "run.finish",
+    "task.submit", "task.start", "task.done", "task.failed",
+    "task.cache_hit", "task.stall", "task.retry", "task.quarantined",
+    "block.dispatch", "block.fallback",
+    "worker.heartbeat", "pool.respawn",
+    "report.phase",
+})
 
 
 class Span:
@@ -127,26 +177,34 @@ _NULL_SPAN = _NullSpan()
 
 
 class Recorder:
-    """Collects one process's telemetry events.
+    """Collects one process's telemetry.
 
     Spans are stored as plain tuples ``(id, parent, name, start,
     duration, attrs)`` with ``parent == -1`` for roots; counters are
     ``name -> number`` sums, gauges ``name -> last value``, histograms
-    ``name -> [count, total, min, max]``.
+    ``name -> [count, total, min, max]``.  Lifecycle events are tuples
+    ``(seq, name, t, wall, data)``: ``seq`` is the 0-based emission
+    order, ``t`` the ``perf_counter`` reading, ``wall`` the Unix time,
+    and ``data`` the payload dict or ``None`` — the part that must stay
+    deterministic.
     """
 
-    __slots__ = ("spans", "counters", "gauges", "hists", "t0", "wall0",
-                 "_stack", "_next_id")
+    __slots__ = ("spans", "counters", "gauges", "hists", "events",
+                 "subscribers", "t0", "wall0", "_stack", "_next_id",
+                 "_run_depth")
 
     def __init__(self) -> None:
         self.spans: "list[tuple]" = []
         self.counters: "dict[str, float]" = {}
         self.gauges: "dict[str, float]" = {}
         self.hists: "dict[str, list]" = {}
+        self.events: "list[tuple]" = []
+        self.subscribers: "list[Callable[[tuple], None]]" = []
         self.t0 = _perf_counter()
         self.wall0 = time.time()
         self._stack: "list[int]" = []
         self._next_id = 0
+        self._run_depth = 0
 
     # -- spans ---------------------------------------------------------
 
@@ -188,6 +246,58 @@ class Recorder:
             if value > h[3]:
                 h[3] = value
 
+    # -- lifecycle events ----------------------------------------------
+
+    def emit(self, name: str, /, **data: Any) -> tuple:
+        """Record one event and notify subscribers synchronously."""
+        event = (len(self.events), name, _perf_counter(), time.time(),
+                 data or None)
+        self.events.append(event)
+        if name == "run.start":
+            self._run_depth += 1
+        elif name == "run.finish":
+            self._run_depth = max(0, self._run_depth - 1)
+        for callback in self.subscribers:
+            callback(event)
+        return event
+
+    def subscribe(self, callback: "Callable[[tuple], None]") -> None:
+        """Attach a synchronous per-event callback (renderer, tracker)."""
+        self.subscribers.append(callback)
+
+    def unsubscribe(self, callback: "Callable[[tuple], None]") -> None:
+        if callback in self.subscribers:
+            self.subscribers.remove(callback)
+
+    def identity(self) -> "list[tuple]":
+        """The deterministic view: ``(seq, name, data)`` per event.
+
+        Two equal-seed ``--jobs 1`` runs of the same campaign must
+        produce equal identity streams; tests compare exactly this.
+        """
+        return [(seq, name, data) for seq, name, _, _, data in self.events]
+
+    def counts(self) -> "dict[str, int]":
+        """Events per name — a quick invariant check for tests."""
+        out: "dict[str, int]" = {}
+        for _, name, _, _, _ in self.events:
+            out[name] = out.get(name, 0) + 1
+        return out
+
+    def mark_in_run(self) -> None:
+        """Declare this recorder *inside* an enclosing run without an event.
+
+        Campaigns and pool workers call this so task code that would own
+        a run lifecycle at top level — e.g. ``run_scenario`` inside
+        ``scenario_task`` — stays silent: it is by definition executing
+        one unit of an enclosing run.
+        """
+        self._run_depth += 1
+
+    def unmark_in_run(self) -> None:
+        """Undo one :meth:`mark_in_run` (clamped at zero)."""
+        self._run_depth = max(0, self._run_depth - 1)
+
     # -- export / merge ------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -197,7 +307,8 @@ class Recorder:
         a worker snapshot's re-rooted spans with their origin, which is
         what lets the Chrome-trace exporter
         (:mod:`repro.telemetry.trace_export`) lay worker spans out on
-        per-worker tracks.
+        per-worker tracks.  Events export as ``(name, t, data)``, the
+        form the JSONL sink writes.
         """
         return {
             "version": SNAPSHOT_VERSION,
@@ -208,6 +319,8 @@ class Recorder:
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
             "hists": {k: list(v) for k, v in self.hists.items()},
+            "events": [(name, t, data)
+                       for _, name, t, _, data in self.events],
         }
 
     def merge(self, snap: Mapping, parent: "int | None" = None) -> None:
@@ -224,6 +337,15 @@ class Recorder:
         from ours), each re-rooted root span gains a ``worker_pid``
         attribute — the provenance mark the trace exporter turns into
         per-worker thread ids.
+
+        The snapshot's events are re-sequenced onto this recorder (and
+        its subscribers notified), except worker-local ``run.*`` events:
+        a worker executing one unit of a campaign is *inside* this run,
+        and a nested lifecycle would double-start the consumers.  The
+        ``health`` resource sample pool workers attach
+        (:func:`repro.obs.health.sample_resources`) becomes one
+        ``worker.heartbeat`` event plus ``worker.rss_bytes`` /
+        ``worker.cpu_s`` histogram samples.
         """
         if parent is None:
             parent = self._stack[-1] if self._stack else -1
@@ -256,6 +378,14 @@ class Recorder:
                 h[1] += total
                 h[2] = min(h[2], lo)
                 h[3] = max(h[3], hi)
+        for name, _t, data in snap.get("events", ()):
+            if not name.startswith("run."):
+                self.emit(name, **(data or {}))
+        health = snap.get("health")
+        if health is not None:
+            self.emit("worker.heartbeat", **health)
+            self.observe("worker.rss_bytes", health["rss_bytes"])
+            self.observe("worker.cpu_s", health["cpu_s"])
 
     def iter_spans(self) -> "Iterator[tuple]":
         return iter(self.spans)
@@ -337,6 +467,24 @@ def observe(name: str, value: float) -> None:
     rec = _RECORDER
     if rec is not None:
         rec.observe(name, value)
+
+
+def emit(name: str, /, **data: Any) -> None:
+    """Emit one lifecycle event; a single ``None`` check when off."""
+    rec = _RECORDER
+    if rec is not None:
+        rec.emit(name, **data)
+
+
+def in_run() -> bool:
+    """True while a ``run.start`` has been emitted without its finish.
+
+    Runners use this to emit run lifecycle events only when they *own*
+    the run: a scenario executed as one task of a sweep (or a report's
+    campaign) is inside the outer run and must stay silent.
+    """
+    rec = _RECORDER
+    return rec is not None and rec._run_depth > 0
 
 
 def merge_snapshot(snap: "Mapping | None", parent: "int | None" = None) -> None:

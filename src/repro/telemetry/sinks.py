@@ -15,12 +15,13 @@ record; every further line is one event:
 
 Span (and event) ``start`` values are normalized to the recorder's epoch
 (``t0``) so files from different runs line up at 0; ``parent`` is -1 for
-roots.  ``event`` records are the obs-bus lifecycle events a profiled
-*observed* run captured alongside its spans (``repro.telemetry.profiled``
-snapshots the live bus) — they share the span timeline, which is what
-lets the Chrome-trace exporter derive cache-hit and queue-depth counter
-tracks.  The format is append-only and versioned via the meta line;
-readers must ignore record types they do not know.
+roots.  ``event`` records are the lifecycle events the recorder
+captured alongside its spans (``task.done``, ``worker.heartbeat``, …,
+see :data:`repro.telemetry.recorder.KNOWN_EVENTS`) — they share the
+span timeline, which is what lets the Chrome-trace exporter derive
+cache-hit and queue-depth counter tracks.  The format is append-only
+and versioned via the meta line; readers must ignore record types they
+do not know.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ instead of tabulated:
   ``worker_pid``): parent-process spans render on tid 0 (``main``),
   each worker's spans on a track named after its pid — the
   trace-level view of the executor's id-remap;
-- obs lifecycle events (embedded by ``profiled`` when a bus was live)
-  become instant events (``ph: "i"``), and the ``task.cache_hit`` /
+- lifecycle events (recorded alongside the spans) become instant
+  events (``ph: "i"``), and the ``task.cache_hit`` /
   ``task.submit``/terminal streams are integrated into cumulative
   **counter tracks** (``ph: "C"``): ``cache hits`` and ``queue depth``;
 - without embedded events, final counter sums (``*.cache.*``) still emit

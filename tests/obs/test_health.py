@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.obs import events
+from repro import telemetry
 from repro.obs.health import StallWatchdog, sample_resources
 from repro.obs.ledger import RunTracker
 from repro.obs.progress import ProgressRenderer
@@ -71,7 +71,7 @@ class TestStallWatchdog:
 
     def test_scan_flags_each_unit_once(self):
         wd = StallWatchdog(multiple=2.0, min_stall_s=0.5)
-        bus = events.enable()
+        rec = telemetry.enable()
         try:
             now = time.perf_counter()
             token = object()
@@ -82,9 +82,9 @@ class TestStallWatchdog:
             assert wd.n_stalled == 2
             assert wd.scan(in_flight, now=now) == []  # already flagged
             assert wd.n_stalled == 2
-            assert bus.counts()["task.stall"] == 2
+            assert rec.counts()["task.stall"] == 2
         finally:
-            events.disable()
+            telemetry.disable()
 
     def test_scan_leaves_young_units_alone(self):
         wd = StallWatchdog(multiple=2.0, min_stall_s=5.0)
@@ -108,29 +108,29 @@ class TestPoolIntegration:
     def test_injected_stall_is_flagged_counted_and_rendered(self):
         """The acceptance path: sleeper -> task.stall -> ledger/progress."""
         specs = sleep_specs([0.5] + [0.01] * 5)
-        bus = events.enable()
+        rec = telemetry.enable()
         tracker = RunTracker()
-        bus.subscribe(tracker.handle)
+        rec.subscribe(tracker.handle)
         stream = io.StringIO()
         renderer = ProgressRenderer(stream=stream, interval=0)
-        bus.subscribe(renderer.handle)
-        bus.emit("run.start", kind="campaign", name="stall-test",
+        rec.subscribe(renderer.handle)
+        rec.emit("run.start", kind="campaign", name="stall-test",
                  n_tasks=len(specs))
         watchdog = StallWatchdog(multiple=2.0, min_stall_s=0.05,
                                  poll_s=0.02)
         try:
             campaign = run_campaign(specs, jobs=2, watchdog=watchdog)
-            bus.emit("run.finish", status="ok")
+            rec.emit("run.finish", status="ok")
         finally:
-            events.disable()
+            telemetry.disable()
 
         assert not campaign.failures
-        stalled = [e[4]["index"] for e in bus.events if e[1] == "task.stall"]
+        stalled = [e[4]["index"] for e in rec.events if e[1] == "task.stall"]
         assert 0 in stalled  # the 0.5s sleeper was flagged
         assert watchdog.n_stalled == len(stalled) > 0
 
         # Heartbeats ride the result channel; ledger counts both.
-        counts = bus.counts()
+        counts = rec.counts()
         assert counts["worker.heartbeat"] > 0
         assert tracker.n_stalls == len(stalled)
         assert tracker.n_heartbeats == counts["worker.heartbeat"]
@@ -147,16 +147,12 @@ class TestPoolIntegration:
         assert "stalled!" in stream.getvalue()
 
     def test_heartbeats_feed_telemetry_histograms(self):
-        from repro import telemetry
-
         specs = sleep_specs([0.0] * 4)
         recorder = telemetry.enable()
-        events.enable()
         try:
             run_campaign(specs, jobs=2)
             snap = recorder.snapshot()
         finally:
-            events.disable()
             telemetry.disable()
         assert snap["hists"].get("worker.rss_bytes")
         assert snap["hists"].get("worker.cpu_s")
@@ -165,17 +161,17 @@ class TestPoolIntegration:
     def test_serial_runs_emit_no_health_events(self):
         """Pool-only events stay out of the --jobs 1 identity stream."""
         specs = sleep_specs([0.0] * 4)
-        bus = events.enable()
+        rec = telemetry.enable()
         try:
             run_campaign(specs, jobs=1)
         finally:
-            events.disable()
-        counts = bus.counts()
+            telemetry.disable()
+        counts = rec.counts()
         assert "worker.heartbeat" not in counts
         assert "task.stall" not in counts
 
     def test_unobserved_pool_run_stays_clean(self):
-        """No bus, no watchdog: plain pool runs are unchanged."""
+        """No recorder, no watchdog: plain pool runs are unchanged."""
         specs = sleep_specs([0.0] * 4)
         campaign = run_campaign(specs, jobs=2)
         assert not campaign.failures

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.obs import events
+from repro import telemetry
 from repro.obs.ledger import (
     RUN_RECORD_VERSION,
     RunLedger,
@@ -17,12 +17,12 @@ from repro.obs.session import observe_run
 
 
 def tracked(*stream):
-    bus = events.enable()
+    rec = telemetry.enable()
     tracker = RunTracker()
-    bus.subscribe(tracker.handle)
+    rec.subscribe(tracker.handle)
     for name, data in stream:
-        bus.emit(name, **data)
-    events.disable()
+        rec.emit(name, **data)
+    telemetry.disable()
     return tracker
 
 
@@ -169,6 +169,13 @@ class TestRunLedger:
             ledger.append(self.rec(f"r-{i}", started=float(i)))
         assert [r["id"] for r in ledger.tail(2)] == ["r-3", "r-4"]
 
+    def test_tail_of_nonpositive_n_is_empty(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        for i in range(3):
+            ledger.append(self.rec(f"r-{i}", started=float(i)))
+        assert ledger.tail(0) == []
+        assert ledger.tail(-1) == []
+
     def test_missing_dir_yields_nothing(self, tmp_path):
         assert list(RunLedger(tmp_path / "nowhere").records()) == []
 
@@ -178,12 +185,12 @@ class TestObserveRun:
         lines = []
         with observe_run("scenario.sweep", "rate_sweep", cache_dir=tmp_path,
                          progress=False, echo=lines.append):
-            events.emit("run.start", kind="scenario.sweep",
-                        name="rate_sweep", n_tasks=2, spec_key="k1")
-            events.emit("task.done", index=0)
-            events.emit("task.done", index=1)
-            events.emit("run.finish", status="ok")
-        assert not events.enabled()  # bus torn down
+            telemetry.emit("run.start", kind="scenario.sweep",
+                           name="rate_sweep", n_tasks=2, spec_key="k1")
+            telemetry.emit("task.done", index=0)
+            telemetry.emit("task.done", index=1)
+            telemetry.emit("run.finish", status="ok")
+        assert not telemetry.enabled()  # recorder torn down
         records = list(RunLedger(tmp_path).records())
         assert len(records) == 1
         r = records[0]
@@ -198,7 +205,7 @@ class TestObserveRun:
         with pytest.raises(RuntimeError, match="mid-run crash"):
             with observe_run("scenario.run", "fig4", cache_dir=tmp_path,
                              progress=False, echo=lines.append):
-                events.emit("run.start", kind="scenario.run", n_tasks=1)
+                telemetry.emit("run.start", kind="scenario.run", n_tasks=1)
                 raise RuntimeError("mid-run crash")
         (r,) = RunLedger(tmp_path).records()
         assert r["status"] == "failed"
@@ -209,17 +216,17 @@ class TestObserveRun:
         lines = []
         with observe_run("scenario.run", "fig4", cache_dir=None,
                          progress=False, echo=lines.append):
-            events.emit("run.start", kind="scenario.run", n_tasks=1)
-            events.emit("task.done", index=0)
-            events.emit("run.finish", status="ok")
+            telemetry.emit("run.start", kind="scenario.run", n_tasks=1)
+            telemetry.emit("task.done", index=0)
+            telemetry.emit("run.finish", status="ok")
         assert len(lines) == 1 and lines[0].startswith("[run run-")
 
     def test_progress_renderer_writes_to_given_stream(self, tmp_path):
         out = io.StringIO()
         with observe_run("scenario.sweep", "s", cache_dir=None,
                          progress=True, stream=out, echo=None):
-            events.emit("run.start", kind="scenario.sweep", n_tasks=2)
-            events.emit("task.done", index=0)
+            telemetry.emit("run.start", kind="scenario.sweep", n_tasks=2)
+            telemetry.emit("task.done", index=0)
         assert "\r" in out.getvalue()
         # finish() painted the final state and terminated the line
         assert out.getvalue().endswith("\n")
@@ -228,6 +235,6 @@ class TestObserveRun:
         out = io.StringIO()  # io.StringIO.isatty() is False
         with observe_run("scenario.sweep", "s", cache_dir=None,
                          stream=out, echo=None):
-            events.emit("run.start", kind="scenario.sweep", n_tasks=1)
-            events.emit("task.done", index=0)
+            telemetry.emit("run.start", kind="scenario.sweep", n_tasks=1)
+            telemetry.emit("task.done", index=0)
         assert out.getvalue() == ""

@@ -3,14 +3,18 @@ fallback/died-block accounting, and content determinism.
 
 The core invariants (ISSUE 7): every task reaches exactly one terminal
 event (``done``/``failed``/``cache_hit``) regardless of backend; worker
-events merge back through the pickled result channel alongside telemetry
-snapshots; a failed block's per-task fallback never double-counts; and
-for a fixed seed with ``--jobs 1`` the identity stream is reproducible.
+events merge back through the pickled result channel inside the
+worker's telemetry snapshot; a failed block's per-task fallback never
+double-counts; and for a fixed seed with ``--jobs 1`` the identity
+stream is reproducible.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
-from repro.obs import events
+from repro import telemetry
+from repro.obs import observe_run
 from repro.runtime import ResultStore, run_campaign
 from repro.scenarios import (
     ScenarioTaskBatcher,
@@ -42,40 +46,40 @@ class UnreturnableResultBatcher(ScenarioTaskBatcher):
 
 
 def observed_campaign(tasks, **kw):
-    bus = events.enable()
+    rec = telemetry.enable()
     try:
         campaign = run_campaign(tasks, **kw)
     finally:
-        events.disable()
-    return campaign, bus
+        telemetry.disable()
+    return campaign, rec
 
 
-def terminal_indexes(bus, name="task.done"):
-    return [e[4]["index"] for e in bus.events if e[1] == name]
+def terminal_indexes(rec, name="task.done"):
+    return [e[4]["index"] for e in rec.events if e[1] == name]
 
 
 class TestSerialEventStream:
     def test_batched_serial_counts(self):
         tasks = sweep_tasks()  # 12 tasks in 3 replicate blocks
-        campaign, bus = observed_campaign(
+        campaign, rec = observed_campaign(
             tasks, jobs=1, batcher=ScenarioTaskBatcher())
         assert not campaign.failures
-        assert bus.counts() == {
+        assert rec.counts() == {
             "block.dispatch": 3, "task.submit": 12, "task.done": 12}
-        assert sorted(terminal_indexes(bus)) == list(range(12))
+        assert sorted(terminal_indexes(rec)) == list(range(12))
 
     def test_unbatched_serial_emits_task_start_per_task(self):
         tasks = sweep_tasks()
-        campaign, bus = observed_campaign(tasks, jobs=1)
-        assert bus.counts() == {
+        campaign, rec = observed_campaign(tasks, jobs=1)
+        assert rec.counts() == {
             "task.submit": 12, "task.start": 12, "task.done": 12}
 
     def test_submit_precedes_terminal_for_every_task(self):
         tasks = sweep_tasks()
-        _, bus = observed_campaign(
+        _, rec = observed_campaign(
             tasks, jobs=1, batcher=ScenarioTaskBatcher())
         submitted = set()
-        for _, name, _, _, data in bus.events:
+        for _, name, _, _, data in rec.events:
             if name == "task.submit":
                 submitted.add(data["index"])
             elif name == "task.done":
@@ -85,9 +89,9 @@ class TestSerialEventStream:
         tasks = sweep_tasks()
         store = ResultStore(tmp_path / "store")
         run_campaign(tasks, jobs=1, store=store)  # cold, unobserved
-        campaign, bus = observed_campaign(tasks, jobs=1, store=store)
+        campaign, rec = observed_campaign(tasks, jobs=1, store=store)
         assert campaign.n_cached == 12
-        counts = bus.counts()
+        counts = rec.counts()
         assert counts["task.cache_hit"] == 12
         assert "task.done" not in counts
 
@@ -110,76 +114,69 @@ class TestPoolEventMerge:
 
     def test_unbatched_pool_merges_worker_task_starts(self):
         tasks = sweep_tasks()
-        _, bus = observed_campaign(tasks, jobs=2)
-        counts = bus.counts()
+        _, rec = observed_campaign(tasks, jobs=2)
+        counts = rec.counts()
         assert counts["task.start"] == 12  # shipped back from workers
         assert counts["task.done"] == 12
 
     def test_pool_merges_telemetry_and_events_together(self):
-        """Both observation channels ride the same result tuples."""
-        from repro import telemetry
-
+        """Spans and events ride the same worker snapshot."""
         tasks = sweep_tasks()
-        telemetry.enable()
-        try:
-            _, bus = observed_campaign(
-                tasks, jobs=2, batcher=ScenarioTaskBatcher())
-            rec = telemetry.current_recorder()
-            span_names = {s[2] for s in rec.spans}
-        finally:
-            telemetry.disable()
+        _, rec = observed_campaign(
+            tasks, jobs=2, batcher=ScenarioTaskBatcher())
+        span_names = {s[2] for s in rec.spans}
         assert "executor.block" in span_names  # worker span merged
-        assert bus.counts()["task.done"] == 12  # worker events merged
+        assert rec.counts()["task.done"] == 12  # worker events merged
 
 
 class TestFallbackAccounting:
     def test_broken_batch_fallback_counts_each_task_once(self):
         tasks = sweep_tasks()
-        bus = events.enable()
+        rec = telemetry.enable()
         try:
             with pytest.warns(RuntimeWarning,
                               match="batch infrastructure down"):
                 campaign = run_campaign(tasks, jobs=1,
                                         batcher=ExplodingBatcher())
         finally:
-            events.disable()
+            telemetry.disable()
         assert not campaign.failures
-        counts = bus.counts()
+        counts = rec.counts()
         assert counts["block.fallback"] == 3
         assert counts["task.done"] == 12
         assert counts["task.start"] == 12  # fallback runs per task
-        assert sorted(terminal_indexes(bus)) == list(range(12))
+        assert sorted(terminal_indexes(rec)) == list(range(12))
 
     def test_died_block_retry_terminals_stay_unique(self):
         """A block whose future dies re-enqueues singletons: extra
         submits are expected, but each task's terminal event is unique."""
         tasks = sweep_tasks()
-        bus = events.enable()
+        rec = telemetry.enable()
         try:
             with pytest.warns(RuntimeWarning, match="retrying per task"):
                 campaign = run_campaign(tasks, jobs=2,
                                         batcher=UnreturnableResultBatcher())
         finally:
-            events.disable()
+            telemetry.disable()
         assert not campaign.failures
-        counts = bus.counts()
+        counts = rec.counts()
         assert counts["task.done"] == 12
         assert "task.failed" not in counts
         assert counts["task.submit"] > 12  # retries re-submit
-        assert sorted(terminal_indexes(bus)) == list(range(12))
+        assert sorted(terminal_indexes(rec)) == list(range(12))
 
     def test_failing_task_emits_task_failed(self):
         from repro.runtime import RunSpec
 
         bad = (RunSpec(fn="repro.runtime.tasks:no_such_task",
                        params=(), seed=0, index=0),)
-        bus = events.enable()
+        rec = telemetry.enable()
         try:
             campaign = run_campaign(bad, jobs=1)
         finally:
-            events.disable()
+            telemetry.disable()
         assert campaign.failures
-        assert bus.counts()["task.failed"] == 1
+        assert rec.counts()["task.failed"] == 1
 
 
 class TestDeterminism:
@@ -187,12 +184,12 @@ class TestDeterminism:
         spec = load_bundled_scenario("campaign_rate_sweep")
 
         def identity():
-            bus = events.enable()
+            rec = telemetry.enable()
             try:
                 run_scenario_sweep(spec, engine="dag", jobs=1)
             finally:
-                events.disable()
-            return bus.identity()
+                telemetry.disable()
+            return rec.identity()
 
         first = identity()
         second = identity()
@@ -203,12 +200,12 @@ class TestDeterminism:
 
     def test_run_start_payload_carries_provenance(self):
         spec = load_bundled_scenario("campaign_rate_sweep")
-        bus = events.enable()
+        rec = telemetry.enable()
         try:
             run_scenario_sweep(spec, engine="dag", jobs=1)
         finally:
-            events.disable()
-        (start,) = [e for e in bus.events if e[1] == "run.start"]
+            telemetry.disable()
+        (start,) = [e for e in rec.events if e[1] == "run.start"]
         data = start[4]
         assert data["kind"] == "scenario.sweep"
         assert data["name"] == spec.name
@@ -221,10 +218,34 @@ class TestDeterminism:
         nested run lifecycle (serial or pooled)."""
         spec = load_bundled_scenario("campaign_rate_sweep")
         for jobs in (1, 2):
-            bus = events.enable()
+            rec = telemetry.enable()
             try:
                 run_scenario_sweep(spec, jobs=jobs)
             finally:
-                events.disable()
-            assert bus.counts()["run.start"] == 1
-            assert bus.counts()["run.finish"] == 1
+                telemetry.disable()
+            assert rec.counts()["run.start"] == 1
+            assert rec.counts()["run.finish"] == 1
+
+    def test_profiling_does_not_change_the_lifecycle_stream(self, tmp_path):
+        """``profiled`` nested in ``observe_run`` reuses the run's
+        recorder: the identity stream is the unprofiled one, and the
+        profiled JSONL carries the same events in the same order."""
+        spec = load_bundled_scenario("campaign_rate_sweep")
+        out = tmp_path / "sweep.jsonl"
+
+        def identity(profile):
+            with observe_run("scenario.sweep", spec.name, progress=False,
+                             echo=None):
+                rec = telemetry.current_recorder()
+                with (telemetry.profiled("scenario.sweep", out=out,
+                                         echo=None)
+                      if profile else nullcontext()):
+                    run_scenario_sweep(spec, base_seed=7, engine="dag",
+                                       jobs=1)
+            return rec.identity()
+
+        plain = identity(profile=False)
+        profiled = identity(profile=True)
+        assert profiled == plain
+        assert [name for name, _, _ in telemetry.read_jsonl(out)["events"]] \
+            == [name for _, name, _ in plain]

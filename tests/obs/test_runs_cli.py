@@ -154,6 +154,15 @@ class TestRunsCli:
         assert len(records) == 1
         assert records[0]["n_cached"] == 4  # the warm (latest) run
 
+    def test_tail_rejects_n_below_one(self, swept, capsys):
+        store, _ = swept
+        for n in ("0", "-1"):
+            assert runs_main(["tail", "--cache-dir", str(store),
+                              "-n", n]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"runs error: -n must be >= 1, got {n}\n"
+
     def test_empty_ledger_dir(self, tmp_path, capsys):
         assert runs_main(["ls", "--cache-dir", str(tmp_path)]) == 0
         assert "[no runs recorded" in capsys.readouterr().out

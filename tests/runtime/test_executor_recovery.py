@@ -5,7 +5,7 @@ import warnings
 import pytest
 from store_helpers import entry_bytes
 
-from repro.obs import events
+from repro import telemetry
 from repro.runtime import (
     ChaosSpec,
     ResultStore,
@@ -77,15 +77,15 @@ class TestSoftRetries:
 
     def test_retry_events_are_emitted(self):
         chaos.install(ChaosSpec(seed=0, crash_rate=1.0))
-        bus = events.enable(fresh=True)
+        rec = telemetry.enable()
         try:
             run_campaign(probe_sweep(n_tasks=2).tasks(), jobs=1,
                          retry=RetryPolicy(retries=1, backoff_s=0.0))
         finally:
             chaos.uninstall()
-            retries = [e for e in bus.identity()
+            retries = [e for e in rec.identity()
                        if e[1] == "task.retry"]
-            events.disable()
+            telemetry.disable()
         assert len(retries) == 2
         assert all(e[2]["attempt"] == 1 for e in retries)
 
@@ -128,14 +128,14 @@ class TestPoolRecovery:
         specs = list(probe_sweep(n_tasks=3).tasks())
         specs.append(RunSpec(fn=HARD_EXIT, params=(("code", 9),),
                              seed=0, index=len(specs)))
-        bus = events.enable(fresh=True)
+        rec = telemetry.enable()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 campaign = run_campaign(specs, jobs=2, quarantine_after=2)
-            names = [e[1] for e in bus.identity()]
+            names = [e[1] for e in rec.identity()]
         finally:
-            events.disable()
+            telemetry.disable()
         assert campaign.n_quarantined == 1
         assert "task.quarantined" in names
         assert "pool.respawn" in names
@@ -172,6 +172,35 @@ class TestStallRetry:
         chaos.uninstall()
         assert not campaign.failures
         assert campaign.values() == clean.values()
+
+    def test_zombie_heartbeat_is_counted(self):
+        """Every unit result that comes home — the abandoned zombie's
+        included — merges one heartbeat into the run ledger's tracker."""
+        from repro.obs.health import StallWatchdog
+        from repro.obs.ledger import RunTracker
+
+        specs = [RunSpec(fn="repro.runtime.tasks:sleeping_task", index=i,
+                         params={"duration_s": d}, seed=i)
+                 for i, d in enumerate([0.8, 0.01, 0.01, 0.01])]
+        rec = telemetry.enable()
+        tracker = RunTracker()
+        rec.subscribe(tracker.handle)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                campaign = run_campaign(
+                    specs, jobs=2, stall_action="retry",
+                    watchdog=StallWatchdog(min_stall_s=0.2, poll_s=0.02))
+        finally:
+            telemetry.disable()
+        assert not campaign.failures
+        assert rec.counters["executor.stall_abandons"] >= 1
+        # One queue-wait sample per unit executed in a worker and merged.
+        returned = rec.hists["executor.queue_wait_s"][0]
+        assert tracker.n_heartbeats == returned
+        # Task 0's result came from a returned unit — the zombie or a
+        # re-dispatch — so every task is covered by a heartbeat.
+        assert tracker.n_heartbeats >= len(specs)
 
 
 class TestInterrupt:

@@ -200,16 +200,17 @@ class TestTelemetryDeterminism:
 
 
 class TestObservabilityDeterminism:
-    """The event bus is pure observation, like telemetry: enabling it
-    never changes engine outputs or the bytes the store persists."""
+    """Recording lifecycle events is pure observation, like telemetry:
+    enabling it never changes engine outputs or the bytes the store
+    persists."""
 
     @pytest.fixture
     def observed(self):
-        from repro.obs import events
+        from repro import telemetry
 
-        events.enable()
-        yield events
-        events.disable()
+        telemetry.enable()
+        yield telemetry
+        telemetry.disable()
 
     def test_observed_sweep_store_records_byte_identical(
             self, tmp_path, observed):
@@ -234,21 +235,19 @@ class TestObservabilityDeterminism:
 
     def test_observed_and_profiled_together_stay_pure(
             self, tmp_path, observed):
-        """Telemetry + events share the worker result channel; running
-        both at once must still leave the store untouched byte-wise."""
-        from repro import telemetry
-
+        """Spans and events share the worker result channel; running
+        ``profiled`` inside an observed run must still leave the store
+        untouched byte-wise."""
         spec = load_bundled_scenario("campaign_rate_sweep")
         observed.disable()
         plain_store = ResultStore(tmp_path / "plain")
         plain = run_scenario_sweep(spec, engine="dag", store=plain_store)
-        observed.enable()
-        telemetry.enable()
-        try:
+        rec = observed.enable()
+        with observed.profiled("scenario.sweep", echo=None):
             both_store = ResultStore(tmp_path / "both")
-            both = run_scenario_sweep(spec, engine="dag", store=both_store)
-        finally:
-            telemetry.disable()
+            both = run_scenario_sweep(spec, engine="dag", jobs=2,
+                                      store=both_store)
+        assert rec.counts()["task.done"] == N_SWEEP
         assert both.campaign.values() == plain.campaign.values()
         assert_records_byte_identical(tmp_path / "plain",
                                       tmp_path / "both", N_SWEEP)
@@ -261,8 +260,8 @@ class TestObservabilityDeterminism:
         cold = run_scenario_sweep(spec, store=store)
         observed.enable()
         warm = run_scenario_sweep(spec, store=store)
-        bus = observed.current_bus()
-        assert bus.counts()["task.cache_hit"] == len(warm.campaign)
+        rec = observed.current_recorder()
+        assert rec.counts()["task.cache_hit"] == len(warm.campaign)
         assert warm.campaign.values() == cold.campaign.values()
 
 
