@@ -11,12 +11,18 @@ The tentpole claims of the StaticDag rewrite, measured:
 - **structure-cache hit latency** — ``build_dag`` on a warm cache versus
   a cold graph construction.  Campaign draws vary only delays/noise, so
   every draw after the first should pay near-zero build cost.
+- **lockstep cold build** — ``build_dag(cfg, config)`` straight from a
+  :class:`~repro.sim.program.LockstepConfig` versus building the
+  program and walking it op by op, at 64 ranks x 50 steps bidirectional
+  rendezvous.  Asserted >= 4x, with the two structures field-for-field
+  identical.
 
 Correctness is asserted alongside speed: every batch slice must be
 bitwise identical to the scalar trace path.
 """
 
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,6 +30,12 @@ from repro.scenarios import compile_scenario, load_bundled_scenario
 from repro.scenarios.runner import prepare_scenario_run
 from repro.scenarios.spec import apply_overrides
 from repro.sim import (
+    CommPattern,
+    Direction,
+    LockstepConfig,
+    Protocol,
+    SimConfig,
+    StaticDag,
     build_dag,
     build_lockstep_program,
     clear_dag_cache,
@@ -129,3 +141,41 @@ def test_bench_dag_structure_cache_hit(once, bench_record):
     bench_record(t_cold_build_s=t_cold, t_warm_hit_s=t_warm, speedup=speedup,
                  cache_hit_rate=hit_rate)
     assert t_warm < t_cold, "cache hit slower than a cold build"
+
+
+def test_bench_dag_lockstep_cold_build(bench_record):
+    """Cold build_dag(cfg) vs program build + walk at 64 x 50, >= 4x."""
+    cfg = LockstepConfig(
+        n_ranks=64, n_steps=50,
+        pattern=CommPattern(direction=Direction.BIDIRECTIONAL, periodic=True))
+    config = SimConfig(protocol=Protocol.RENDEZVOUS)
+
+    def best_of(fn, reps=5):
+        best = float("inf")
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            out = fn()
+            best = min(best, time.perf_counter() - t0)
+        return best, out
+
+    t_walk, walked = best_of(
+        lambda: build_dag(build_lockstep_program(cfg), config, cache=False))
+    t_direct, direct = best_of(lambda: build_dag(cfg, config, cache=False))
+
+    for f in fields(StaticDag):
+        a, b = getattr(direct, f.name), getattr(walked, f.name)
+        if f.name == "rank_node_ids":
+            assert all(x.dtype == y.dtype and np.array_equal(x, y)
+                       for x, y in zip(a, b, strict=True))
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+    speedup = t_walk / t_direct
+    print(f"\nlockstep cold build at 64x50: program build + walk "
+          f"{t_walk * 1e3:.1f} ms, direct {t_direct * 1e3:.1f} ms "
+          f"({speedup:.1f}x)")
+    bench_record(t_walk_build_s=t_walk, t_direct_build_s=t_direct,
+                 speedup=speedup)
+    assert speedup >= 4.0, f"lockstep cold build speedup {speedup:.2f}x < 4x"

@@ -36,10 +36,9 @@ from repro.core.timing import RunTiming
 from repro.scenarios.compiler import CompiledScenario, compile_scenario
 from repro.scenarios.outputs import compute_outputs
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.engine import simulate_dag, simulate_dag_batch
+from repro.sim.engine import simulate_dag_batch
 from repro.sim.hybrid import HybridConfig, hybrid_exec_times
 from repro.sim.lockstep import simulate_lockstep, simulate_lockstep_batch
-from repro.sim.program import build_lockstep_program
 
 __all__ = ["PreparedRun", "ScenarioRun", "run_scenario", "run_scenario_batch"]
 
@@ -161,13 +160,13 @@ def _execute_prepared_inner(
             mapping=compiled.mapping,
         )
         return RunTiming.from_lockstep(result)
-    # DAG reference: columnar fast path — the structure comes from the
-    # build cache (shared across a campaign's draws) and no OpRecord
-    # objects are materialized; matrices are bitwise identical to the
-    # full-trace path.
-    program = build_lockstep_program(prepared.cfg, prepared.exec_times)
-    result = simulate_dag(program, compiled.sim_config(),
-                          exec_times=prepared.exec_times)
+    # DAG reference: a one-draw batch — the structure comes from the build
+    # cache (shared across a campaign's draws), no Program or OpRecord
+    # objects are built; matrices are bitwise identical to the full-trace
+    # path.
+    result = simulate_dag_batch(prepared.cfg, prepared.exec_times[None],
+                                compiled.sim_config())[0]
+    result.meta.pop("n_batch")
     return RunTiming.from_dag(result)
 
 

@@ -232,18 +232,18 @@ def run_scenario_sweep(
     """
     from repro.scenarios.batch import ScenarioTaskBatcher
 
-    with telemetry.span("sweep.expand", scenario=spec.name):
-        sweep = scenario_sweep_spec(spec, base_seed=base_seed, engine=engine)
-        tasks = sweep.tasks()
     # Run-lifecycle events are owned by the outermost runner: a sweep
     # executed inside another run (a report's campaign) stays silent.
     owns_run = telemetry.enabled() and not telemetry.in_run()
+    with telemetry.span("sweep.expand", scenario=spec.name):
+        sweep = scenario_sweep_spec(spec, base_seed=base_seed, engine=engine)
+        tasks = sweep.tasks()
+        spec_key = _sweep_spec_key(tasks) if owns_run else None
     if owns_run:
         telemetry.emit(
             "run.start", kind="scenario.sweep", name=spec.name,
             n_tasks=len(tasks), engine=dict(sweep.base)["engine"],
-            seed_root=sweep.base_seed, jobs=jobs,
-            spec_key=_sweep_spec_key(tasks),
+            seed_root=sweep.base_seed, jobs=jobs, spec_key=spec_key,
         )
     campaign = run_campaign(
         tasks, jobs=jobs, store=store,

@@ -33,15 +33,21 @@ therefore builds the graph **once**:
 
 - :func:`build_dag` compiles a program + config into a :class:`StaticDag`
   holding CSR-style NumPy arrays (``succ_indptr``/``succ_index`` successor
-  lists, ``edge_delay`` slots) plus a precomputed topological level order;
+  lists, ``edge_delay`` slots) plus a precomputed topological level order.
+  Arbitrary programs are walked op by op; a
+  :class:`~repro.sim.program.LockstepConfig` is built straight from its
+  parameters in NumPy, field-for-field identical to walking its program;
 - :meth:`StaticDag.propagate` runs the Kahn sweep as a vectorized
   per-level ``np.maximum.at`` recurrence.  Durations may carry a leading
   batch axis, so B draws flow through one structure as a ``(B, n_nodes)``
   computation — the DAG-engine analogue of
   :func:`repro.sim.lockstep.simulate_lockstep_batch`;
-- a keyed structure cache (program-shape hash → :class:`StaticDag`) lets
-  sweeps that vary only delays/noise skip graph construction entirely
-  (see :func:`clear_dag_cache` / :func:`dag_cache_info`).
+- a keyed structure cache lets sweeps that vary only delays/noise skip
+  graph construction entirely.  A program is keyed on its shape (every
+  operation field except COMP durations), a lockstep config on
+  ``(n_ranks, n_steps, msg_size, pattern)``; both keys add the
+  network/mapping/protocol config (see :func:`clear_dag_cache` /
+  :func:`dag_cache_info`).
 
 Completion times obey
 ``end(n) = max over predecessors p of (end(p) + edge_delay) + duration(n)``.
@@ -71,7 +77,7 @@ import numpy as np
 from repro import telemetry
 from repro.sim.mpi import DEFAULT_EAGER_LIMIT, MessageMatcher, Protocol, select_protocol
 from repro.sim.network import NetworkModel, UniformNetwork
-from repro.sim.program import LockstepConfig, OpKind, Program, build_lockstep_program
+from repro.sim.program import LockstepConfig, OpKind, Program, lockstep_meta
 from repro.sim.topology import CommDomain, ProcessMapping
 from repro.sim.trace import OpRecord, Trace
 
@@ -652,6 +658,143 @@ def _build_structure(program: Program, config: SimConfig) -> StaticDag:
     )
 
 
+def _build_lockstep_structure(cfg: LockstepConfig, config: SimConfig) -> StaticDag:
+    """Freeze the DAG of ``cfg``'s lockstep program without building it.
+
+    Field-for-field identical to
+    ``_build_structure(build_lockstep_program(cfg), config)``: nodes are
+    numbered in the walker's order (rank-major ``COMP; IRECV*; ISEND*;
+    WAITALL`` blocks, then one virtual node per message in match order)
+    and CSR rows keep the walker's edge insertion order.  Every message
+    has the same size, so one protocol applies to all of them; domains,
+    overheads and flight times are resolved once per rank pair.
+    """
+    p_, s_ = cfg.n_ranks, cfg.n_steps
+    sends = [cfg.pattern.send_targets(r, p_) for r in range(p_)]
+    recvs = [cfg.pattern.recv_sources(r, p_) for r in range(p_)]
+    n_send = np.array([len(t) for t in sends], dtype=np.int64)
+    n_recv = np.array([len(t) for t in recvs], dtype=np.int64)
+    block = 2 + n_recv + n_send  # ops per (rank, step)
+    first = np.concatenate(([0], np.cumsum(s_ * block)))  # rank r's first node
+    n_prog = int(first[-1])
+    steps = np.arange(s_, dtype=np.int64)
+    cell_rank = np.repeat(np.arange(p_, dtype=np.int64), s_)  # [P*S]
+    cell_step = np.tile(steps, p_)
+    comp = first[cell_rank] + cell_step * block[cell_rank]
+    wait = comp + block[cell_rank] - 1
+
+    # One entry per (src, dst) rank pair, in send-list order; each send
+    # has exactly one recv (a missing one fails the recv_slot lookup).
+    recv_slot = {(r, src): j for r in range(p_) for j, src in enumerate(recvs[r])}
+    pairs = [(src, dst, i) for src in range(p_) for i, dst in enumerate(sends[src])]
+    if len(pairs) != len(recv_slot):
+        raise ValueError("program has unmatched point-to-point operations")
+    proto = select_protocol(cfg.msg_size, config.eager_limit, config.protocol)
+    eager = proto == Protocol.EAGER
+    pair_src = np.array([s for s, _, _ in pairs], dtype=np.int64)
+    pair_dst = np.array([d for _, d, _ in pairs], dtype=np.int64)
+    send_off = np.array([1 + n_recv[s] + i for s, _, i in pairs], dtype=np.int64)
+    recv_off = np.array([1 + recv_slot[(d, s)] for s, d, _ in pairs], dtype=np.int64)
+    o_send, v_dur, flight = [], [], []
+    for s, d, _ in pairs:
+        domain = config.domain(s, d)
+        f = config.network.transfer_time(cfg.msg_size, domain)
+        o_recv = config.network.recv_overhead(domain)
+        o_send.append(config.network.send_overhead(domain))
+        v_dur.append(o_recv if eager else f + o_recv)
+        flight.append(f)
+
+    # Messages (pair, step), reordered into the matcher's order: a message
+    # matches when the later of its send and recv nodes is walked.
+    m_pair = np.repeat(np.arange(len(pairs), dtype=np.int64), s_)
+    m_step = np.tile(steps, len(pairs))
+    m_src, m_dst = pair_src[m_pair], pair_dst[m_pair]
+    send_node = first[m_src] + m_step * block[m_src] + send_off[m_pair]
+    recv_node = first[m_dst] + m_step * block[m_dst] + recv_off[m_pair]
+    order = np.argsort(np.maximum(send_node, recv_node), kind="stable")
+    m_pair, m_step, m_src, m_dst = (m_pair[order], m_step[order],
+                                    m_src[order], m_dst[order])
+    send_node, recv_node = send_node[order], recv_node[order]
+    n_msg = int(order.size)
+    virt = np.arange(n_prog, n_prog + n_msg, dtype=np.int64)
+    send_wait = first[m_src] + m_step * block[m_src] + block[m_src] - 1
+    recv_wait = first[m_dst] + m_step * block[m_dst] + block[m_dst] - 1
+    n = n_prog + n_msg
+
+    base_duration = np.zeros(n)
+    base_duration[send_node] = np.asarray(o_send, dtype=float)[m_pair]
+    base_duration[virt] = np.asarray(v_dur, dtype=float)[m_pair]
+    prog_pred = np.arange(-1, n - 1, dtype=np.int64)
+    prog_pred[first[:-1]] = -1
+    prog_pred[n_prog:] = -1
+    node_rank = np.concatenate((np.repeat(np.arange(p_, dtype=np.int64), s_ * block),
+                                np.full(n_msg, -1, dtype=np.int64)))
+
+    # Edges in the walker's insertion order: program chains, then four per
+    # message in match order, then the progress-coupling edges.
+    chain = np.flatnonzero(prog_pred[:n_prog] >= 0)
+    zero = np.zeros(n_msg)
+    if eager:
+        m_from = (send_node, send_node, recv_node, virt)
+        m_to = (send_wait, virt, virt, recv_wait)
+        m_delay = (zero, np.asarray(flight, dtype=float)[m_pair], zero, zero)
+    else:
+        m_from = (send_node, recv_node, virt, virt)
+        m_to = (virt, virt, send_wait, recv_wait)
+        m_delay = (zero,) * 4
+    src_parts = [chain - 1, np.stack(m_from, axis=1).ravel()]
+    dst_parts = [chain, np.stack(m_to, axis=1).ravel()]
+    delay_parts = [np.zeros(chain.size), np.stack(m_delay, axis=1).ravel()]
+    if not eager:
+        # A pair exchanging messages both ways couples its transfers to the
+        # posting-complete node (the one before WAITALL) of every rank
+        # either endpoint talks to.  Partner sets are the same every step.
+        partners = [set(sends[r]) | set(recvs[r]) for r in range(p_)]
+        coupled = [sorted(partners[s] | partners[d]) if s in sends[d] else []
+                   for s, d, _ in pairs]
+        n_coupled = np.array([len(c) for c in coupled], dtype=np.int64)
+        coupled_flat = np.array([q for c in coupled for q in c], dtype=np.int64)
+        coupled_ptr = np.concatenate(([0], np.cumsum(n_coupled)))
+        counts = n_coupled[m_pair]
+        q = coupled_flat[_concat_ranges(coupled_ptr[m_pair], counts)]
+        src_parts.append(first[q] + np.repeat(m_step, counts) * block[q]
+                         + block[q] - 2)
+        dst_parts.append(np.repeat(virt, counts))
+        delay_parts.append(np.zeros(q.size))
+    e_src = np.concatenate(src_parts)
+    by_src = np.argsort(e_src, kind="stable")
+    succ = np.concatenate(dst_parts)[by_src]
+    delay = np.concatenate(delay_parts)[by_src]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(e_src, minlength=n))))
+
+    level_order, level_ptr, edge_perm, edge_src_lv, edge_dst_lv = _levelize(
+        n, indptr, succ, node_rank)
+
+    return StaticDag(
+        n_ranks=p_,
+        n_steps=s_,
+        succ_indptr=indptr,
+        succ_index=succ,
+        edge_delay=delay,
+        base_duration=base_duration,
+        prog_pred=prog_pred,
+        level_order=level_order,
+        level_ptr=level_ptr,
+        edge_perm=edge_perm,
+        edge_src_lv=edge_src_lv,
+        edge_dst_lv=edge_dst_lv,
+        comp_node=comp,
+        comp_rank=cell_rank,
+        comp_step=cell_step,
+        comp_op_idx=(steps * block[:, None]).ravel(),
+        wait_node=wait,
+        wait_rank=cell_rank,
+        wait_step=cell_step,
+        rank_node_ids=tuple(np.arange(first[r], first[r + 1], dtype=np.int64)
+                            for r in range(p_)),
+    )
+
+
 # ----------------------------------------------------------------------
 # structure cache
 # ----------------------------------------------------------------------
@@ -681,25 +824,30 @@ def _config_key(config: SimConfig) -> tuple:
             repr(config.mapping))
 
 
-def build_dag(program: Program, config: "SimConfig | None" = None,
+def build_dag(source: "Program | LockstepConfig",
+              config: "SimConfig | None" = None,
               cache: bool = True) -> StaticDag:
-    """Compile a program + config into a :class:`StaticDag` (cached).
+    """Compile a program, or a lockstep config, into a :class:`StaticDag`.
 
-    The cache key is the program's *shape* (operation kinds, peers, sizes,
-    tags, steps — everything except COMP durations) plus the config's
+    A :class:`~repro.sim.program.LockstepConfig` is built straight from
+    its parameters (no :class:`~repro.sim.program.Program` exists) and is
+    keyed on ``(n_ranks, n_steps, msg_size, pattern)``; ``t_exec``, noise,
+    delays and seed only feed COMP durations.  A program is keyed on its
+    *shape* (operation kinds, peers, sizes, tags, steps — everything
+    except COMP durations).  Both keys add the config's
     network/mapping/protocol parameters, so a delay campaign's draws all
     hit one entry.  See CONTRIBUTING.md for when the cache must be
     invalidated (:func:`clear_dag_cache`).
     """
     if config is None:
         config = SimConfig()
+    lockstep = isinstance(source, LockstepConfig)
+    builder = _build_lockstep_structure if lockstep else _build_structure
     if not cache:
-        with telemetry.span("engine.build_dag", cached=False) as sp:
-            dag = _build_structure(program, config)
-            sp.set(n_nodes=dag.n_nodes, n_edges=dag.n_edges,
-                   n_levels=dag.n_levels)
-        return dag
-    key = (_program_shape_key(program), _config_key(config))
+        return _traced_build(builder, source, config, cached=False)
+    shape = (("lockstep", source.n_ranks, source.n_steps, source.msg_size,
+              source.pattern) if lockstep else _program_shape_key(source))
+    key = (shape, _config_key(config))
     dag = _DAG_CACHE.get(key)
     if dag is not None:
         _DAG_CACHE.move_to_end(key)
@@ -708,15 +856,20 @@ def build_dag(program: Program, config: "SimConfig | None" = None,
         return dag
     _DAG_CACHE_STATS["misses"] += 1
     telemetry.count("dag.cache.misses")
-    with telemetry.span("engine.build_dag", cached=True) as sp:
-        dag = _build_structure(program, config)
-        sp.set(n_nodes=dag.n_nodes, n_edges=dag.n_edges,
-               n_levels=dag.n_levels)
+    dag = _traced_build(builder, source, config, cached=True)
     _DAG_CACHE[key] = dag
     while len(_DAG_CACHE) > _DAG_CACHE_MAX:
         _DAG_CACHE.popitem(last=False)
         _DAG_CACHE_STATS["evictions"] += 1
         telemetry.count("dag.cache.evictions")
+    return dag
+
+
+def _traced_build(builder, source, config: SimConfig, cached: bool) -> StaticDag:
+    with telemetry.span("engine.build_dag", cached=cached) as sp:
+        dag = builder(source, config)
+        sp.set(n_nodes=dag.n_nodes, n_edges=dag.n_edges,
+               n_levels=dag.n_levels)
     return dag
 
 
@@ -914,33 +1067,18 @@ def simulate(program: Program, config: SimConfig | None = None) -> Trace:
     )
 
 
-def simulate_dag(program: Program, config: SimConfig | None = None,
-                 exec_times: "np.ndarray | None" = None) -> DagResult:
+def simulate_dag(program: Program, config: SimConfig | None = None) -> DagResult:
     """Run one program and return dense timing matrices (no records).
 
     The columnar fast path of the DAG engine: identical numbers to
     :func:`simulate` (``DagResult.exec_end`` is bitwise equal to
     ``trace.exec_end_matrix()``, and so on) without materializing a
     single :class:`~repro.sim.trace.OpRecord`.
-
-    Parameters
-    ----------
-    program, config:
-        As in :func:`simulate`.
-    exec_times:
-        Optional dense ``[n_ranks, n_steps]`` execution durations that
-        override the program's COMP durations (lockstep-shaped programs
-        only) — saves the per-op duration gather when the caller already
-        holds the matrix.
     """
     if config is None:
         config = SimConfig()
     dag = build_dag(program, config)
-    if exec_times is None:
-        durations = dag.durations_for(program)
-    else:
-        durations = dag.durations_from_exec(exec_times)
-    ready, end = dag._propagate_cols(durations[:, None])
+    ready, end = dag._propagate_cols(dag.durations_for(program)[:, None])
     exec_start, exec_end, completion, idle = dag._timing_cols(ready, end)
     return DagResult(
         exec_start=exec_start[0],
@@ -958,8 +1096,9 @@ def simulate_dag_batch(cfg: LockstepConfig, exec_times: np.ndarray,
 
     The DAG-engine analogue of
     :func:`repro.sim.lockstep.simulate_lockstep_batch`: the program
-    structure is built (or fetched from the structure cache) once and the
-    B duration vectors flow through it as a single ``(n_nodes, B)``
+    structure is built from ``cfg`` (or fetched from the structure cache)
+    once — no :class:`~repro.sim.program.Program` is constructed — and
+    the B duration vectors flow through it as a single ``(n_nodes, B)``
     sweep.
 
     Parameters
@@ -991,14 +1130,15 @@ def simulate_dag_batch(cfg: LockstepConfig, exec_times: np.ndarray,
         )
     if exec_times.shape[0] < 1:
         raise ValueError("batch must contain at least one run")
+    if np.any(exec_times < 0):
+        raise ValueError("exec_times must be non-negative")
 
-    program = build_lockstep_program(cfg, exec_times[0])
-    dag = build_dag(program, config)
+    dag = build_dag(cfg, config)
     durations = dag.durations_from_exec(exec_times)
     ready, end = dag._propagate_cols(
         np.ascontiguousarray(durations.reshape(-1, dag.n_nodes).T))
     exec_start, exec_end, completion, idle = dag._timing_cols(ready, end)
-    meta = _dag_meta(program.meta, config)
+    meta = _dag_meta(lockstep_meta(cfg), config)
     meta["n_batch"] = int(exec_times.shape[0])
     return BatchedDagResult(
         exec_start=exec_start,

@@ -37,6 +37,7 @@ __all__ = [
     "LockstepConfig",
     "build_exec_times",
     "build_lockstep_program",
+    "lockstep_meta",
 ]
 
 
@@ -268,15 +269,16 @@ def build_lockstep_program(
             rank_ops.append(Op(kind=OpKind.WAITALL, step=step))
         ops.append(rank_ops)
 
-    return Program(
-        ops=ops,
-        n_steps=cfg.n_steps,
-        meta={
-            "t_exec": cfg.t_exec,
-            "msg_size": cfg.msg_size,
-            "pattern": cfg.pattern,
-            "noise_mean": cfg.noise.mean(),
-            "delays": cfg.delays,
-            "seed": cfg.seed,
-        },
-    )
+    return Program(ops=ops, n_steps=cfg.n_steps, meta=lockstep_meta(cfg))
+
+
+def lockstep_meta(cfg: LockstepConfig) -> dict:
+    """Run metadata of the lockstep program for ``cfg``."""
+    return {
+        "t_exec": cfg.t_exec,
+        "msg_size": cfg.msg_size,
+        "pattern": cfg.pattern,
+        "noise_mean": cfg.noise.mean(),
+        "delays": cfg.delays,
+        "seed": cfg.seed,
+    }

@@ -151,7 +151,6 @@ class TestStoreBacked:
         monkeypatch.setattr(engine_mod, "simulate_dag_batch", boom)
         monkeypatch.setattr(runner_mod, "simulate_lockstep", boom)
         monkeypatch.setattr(runner_mod, "simulate_lockstep_batch", boom)
-        monkeypatch.setattr(runner_mod, "simulate_dag", boom)
         monkeypatch.setattr(runner_mod, "simulate_dag_batch", boom)
         monkeypatch.setattr(runner_mod, "prepare_scenario_run", boom)
 

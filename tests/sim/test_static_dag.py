@@ -174,6 +174,14 @@ class TestBatchedPropagate:
         with pytest.raises(ValueError, match="at least one run"):
             simulate_dag_batch(cfg, np.zeros((0, cfg.n_ranks, cfg.n_steps)))
 
+    def test_negative_exec_times_rejected_in_every_draw(self):
+        cfg = make_cfg()
+        for bad in range(3):
+            stacked = np.full((3, cfg.n_ranks, cfg.n_steps), T)
+            stacked[bad, 1, 2] = -1.0
+            with pytest.raises(ValueError, match="must be non-negative"):
+                simulate_dag_batch(cfg, stacked)
+
     def test_total_runtimes_match_slices(self):
         cfg = make_cfg()
         stacked = np.stack([
@@ -286,6 +294,47 @@ class TestStructureCache:
         r1 = simulate_dag(build_lockstep_program(cfg, et1))
         assert dag_cache_info()["hits"] == 1
         assert r1.completion.max() > 2.5 * r0.completion.max()
+
+
+class TestLockstepStructureCache:
+    """``build_dag(cfg, config)`` keys on the config's structural fields."""
+
+    def test_duration_only_changes_share_one_entry(self):
+        cfg = make_cfg()
+        build_dag(cfg)
+        for other in (
+            make_cfg(noise=ExponentialNoise(5e-3)),
+            make_cfg(delays=(DelaySpec(rank=1, step=2, duration=4 * T),)),
+            make_cfg(seed=7),
+            make_cfg(t_exec=2 * T),
+        ):
+            assert build_dag(other) is build_dag(cfg)
+        info = dag_cache_info()
+        assert info["misses"] == 1 and info["size"] == 1
+
+    def test_structure_or_config_change_misses(self):
+        build_dag(make_cfg())
+        build_dag(make_cfg(msg_size=16))
+        build_dag(make_cfg(pattern=CommPattern(direction=Direction.BIDIRECTIONAL)))
+        build_dag(make_cfg(), SimConfig(protocol=Protocol.RENDEZVOUS))
+        build_dag(make_cfg(), SimConfig(network=UniformNetwork(latency=9e-6)))
+        info = dag_cache_info()
+        assert info["misses"] == 5 and info["hits"] == 0 and info["size"] == 5
+
+    def test_cache_opt_out_leaves_cache_empty(self):
+        build_dag(make_cfg(), cache=False)
+        assert dag_cache_info()["size"] == 0
+        assert dag_cache_info()["misses"] == 0
+
+    def test_lru_eviction_is_counted(self):
+        for n_steps in range(2, 2 + 18):  # 18 shapes vs max_size 16
+            build_dag(make_cfg(n_ranks=4, n_steps=n_steps))
+        info = dag_cache_info()
+        assert info["size"] == info["max_size"] == 16
+        assert info["evictions"] == 2
+        assert info["misses"] == 18
+        build_dag(make_cfg(n_ranks=4, n_steps=2))  # evicted: misses again
+        assert dag_cache_info()["misses"] == 19
 
 
 class TestEngineError:
