@@ -60,8 +60,8 @@ from repro.experiments import (
     run_experiment,
 )
 
-__all__ = ["main", "build_parser", "jobs_arg", "maybe_profiled",
-           "open_store", "retry_policy"]
+__all__ = ["main", "build_parser", "backoff_arg", "jobs_arg",
+           "maybe_profiled", "open_store", "retries_arg", "retry_policy"]
 
 
 def jobs_arg(text: str) -> int:
@@ -75,6 +75,26 @@ def jobs_arg(text: str) -> int:
             f"--jobs must be >= 0 (0 = auto-detect CPU count), got {value}"
         )
     return value
+
+
+def _non_negative(convert):
+    """An argparse type: ``convert(text)``, rejected unless >= 0."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not value >= 0:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return value
+    return parse
+
+
+#: ``--retries`` parser: non-negative int.
+retries_arg = _non_negative(int)
+#: ``--retry-backoff`` parser: non-negative float seconds.
+backoff_arg = _non_negative(float)
 
 
 def open_store(cache_dir: "str | None"):

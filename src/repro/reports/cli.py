@@ -5,7 +5,7 @@
     repro-experiment report list [--json]
     repro-experiment report validate [NAME_OR_FILE ...] (default: all bundled)
     repro-experiment report run NAME_OR_FILE [--cache-dir DIR] [--jobs N]
-                                             [--out DIR] [--no-batch]
+                                             [--out DIR]
 
 ``NAME_OR_FILE`` is a bundled report name (see ``report list``) or a path
 to a ``.toml``/``.json`` file anywhere on disk.  ``run`` resolves the
@@ -23,7 +23,14 @@ import argparse
 import json
 import sys
 
-from repro.cli import jobs_arg, maybe_profiled, open_store, retry_policy
+from repro.cli import (
+    backoff_arg,
+    jobs_arg,
+    maybe_profiled,
+    open_store,
+    retries_arg,
+    retry_policy,
+)
 from repro.reports.compiler import compile_report
 from repro.reports.errors import ReportError
 from repro.reports.kernels import get_kernel, kernel_names
@@ -64,9 +71,6 @@ def build_report_parser() -> argparse.ArgumentParser:
                             "are loaded with zero engine invocations")
     p_run.add_argument("--out", default=None, metavar="DIR",
                        help="write the report's declared artifacts below DIR")
-    p_run.add_argument("--no-batch", action="store_true",
-                       help="run cache misses one engine call at a time "
-                            "instead of batched (results are identical)")
     p_run.add_argument("--profile", action="store_true",
                        help="record telemetry (spans, cache hit rates) and "
                             "print a summary; results are unchanged")
@@ -78,11 +82,11 @@ def build_report_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="live progress line on stderr (default: auto "
                             "when stderr is a TTY)")
-    p_run.add_argument("--retries", type=int, default=0, metavar="N",
+    p_run.add_argument("--retries", type=retries_arg, default=0, metavar="N",
                        help="retry failed tasks up to N times with "
                             "deterministic seed-jittered backoff (results "
                             "are bit-identical to a first-attempt success)")
-    p_run.add_argument("--retry-backoff", type=float, default=0.05,
+    p_run.add_argument("--retry-backoff", type=backoff_arg, default=0.05,
                        metavar="SECONDS",
                        help="base backoff between retry attempts; doubles "
                             "per attempt (default: 0.05)")
@@ -176,7 +180,6 @@ def _cmd_run(args) -> int:
             with maybe_profiled(args, "report.run", tracker):
                 result = run_report(
                     compiled, store=open_store(args.cache_dir), jobs=args.jobs,
-                    batch=not args.no_batch,
                     retry=retry_policy(args),
                     stall_action=args.stall_action,
                 )

@@ -127,7 +127,6 @@ def run_report(
     report: CompiledReport,
     store=None,
     jobs: int = 1,
-    batch: bool = True,
     retry=None,
     stall_action: str = "warn",
 ) -> ReportResult:
@@ -143,9 +142,6 @@ def run_report(
         are persisted for the next report.
     jobs:
         Worker processes for cache-missing runs (0 = auto-detect).
-    batch:
-        Execute contiguous same-point seed blocks as single batched
-        engine invocations (results are bit-identical, only faster).
     """
     group_columns = report.group_by
     stats = report.aggregate
@@ -175,7 +171,7 @@ def run_report(
             tasks = target.sweep.tasks()
             stream = stream_campaign(
                 tasks, store=store, jobs=jobs,
-                batcher=ReportTaskBatcher() if batch else None,
+                batcher=ReportTaskBatcher(),
                 retry=retry, stall_action=stall_action,
             )
             # Prime the stream inside the fetch span: a cache miss

@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.timing import RunTiming
-from repro.sim.engine import BatchedDagResult
 from repro.sim.lockstep import BatchedLockstepResult
 
 __all__ = ["BatchedTiming"]
@@ -118,21 +117,6 @@ class BatchedTiming:
             exec_end=result.exec_end.copy(),
             completion=result.completion.copy(),
             idle=result.idle_matrix(),
-            meta=dict(result.meta),
-        )
-
-    @classmethod
-    def from_dag_batch(cls, result: BatchedDagResult) -> "BatchedTiming":
-        """Adopt a batched DAG-engine result's dense matrices directly.
-
-        The DAG engine's columnar propagation already produces the
-        ``(B, P, S)`` triple — no per-draw ``Trace``/``OpRecord``
-        materialization happens anywhere on this path.
-        """
-        return cls(
-            exec_end=result.exec_end.copy(),
-            completion=result.completion.copy(),
-            idle=result.idle.copy(),
             meta=dict(result.meta),
         )
 

@@ -213,9 +213,9 @@ class TaskBatcher:
     returned by :meth:`execute` for a block are exactly — bit for bit —
     the values the tasks would produce when called one by one.
 
-    See :class:`repro.scenarios.batch.ScenarioTaskBatcher` for the
-    canonical implementation (batched lockstep-engine execution of
-    scenario replicate blocks).
+    See :class:`repro.scenarios.batch.SeedBlockBatcher` for the
+    implementation (seed blocks of scenario and report tasks as one
+    engine call).
     """
 
     def plan(self, specs: "Sequence[RunSpec]") -> "list[list[int]]":

@@ -21,7 +21,14 @@ import argparse
 import json
 import sys
 
-from repro.cli import jobs_arg, maybe_profiled, open_store, retry_policy
+from repro.cli import (
+    backoff_arg,
+    jobs_arg,
+    maybe_profiled,
+    open_store,
+    retries_arg,
+    retry_policy,
+)
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.errors import ScenarioError
 from repro.scenarios.registry import (
@@ -62,9 +69,6 @@ def build_scenario_parser() -> argparse.ArgumentParser:
                        help="worker processes for sweeps (0 = auto)")
         p.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="content-addressed result store for sweep runs")
-        p.add_argument("--no-batch", action="store_true",
-                       help="run sweep replicates one engine call at a time "
-                            "instead of batched (results are identical)")
         p.add_argument("--profile", action="store_true",
                        help="record telemetry (spans, cache hit rates) and "
                             "print a summary; results are unchanged")
@@ -76,11 +80,11 @@ def build_scenario_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="live progress line on stderr (default: auto "
                             "when stderr is a TTY)")
-        p.add_argument("--retries", type=int, default=0, metavar="N",
+        p.add_argument("--retries", type=retries_arg, default=0, metavar="N",
                        help="retry failed tasks up to N times with "
                             "deterministic seed-jittered backoff (results "
                             "are bit-identical to a first-attempt success)")
-        p.add_argument("--retry-backoff", type=float, default=0.05,
+        p.add_argument("--retry-backoff", type=backoff_arg, default=0.05,
                        metavar="SECONDS",
                        help="base backoff between retry attempts; doubles "
                             "per attempt (default: 0.05)")
@@ -192,7 +196,6 @@ def _observed_sweep(args, spec) -> int:
                 result = run_scenario_sweep(
                     spec, base_seed=args.seed, engine=args.engine,
                     jobs=args.jobs, store=open_store(args.cache_dir),
-                    batch=not args.no_batch,
                     retry=retry_policy(args),
                     stall_action=args.stall_action,
                 )

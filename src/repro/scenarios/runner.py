@@ -1,27 +1,26 @@
 """Scenario execution: compiled spec → engine run → outputs.
 
-Two entry points own the full deterministic pipeline:
+Every run of a compiled scenario takes the same three steps:
 
-- :func:`run_scenario` executes one scenario:
+1. :func:`prepare_scenario_run` draws the delay campaign's schedule (if
+   any) and the noise matrix from a single :class:`numpy.random.Generator`
+   seeded by the run seed, so a scenario + seed is bit-reproducible
+   across processes;
+2. :func:`simulate_prepared` executes B >= 1 such draws as one
+   ``[B, n_ranks, n_steps]`` call of the engine the compiler chose — the
+   lockstep recurrence, or the DAG engine's build-once/propagate-many
+   :class:`~repro.sim.engine.StaticDag` sweep.  Both consume the *same*
+   execution-time matrices, which is what makes cross-engine results
+   agree to machine precision, and both are elementwise along the batch
+   axis, so a run's timing does not depend on the block it ran in;
+3. :func:`finish_scenario_run` evaluates the requested outputs.
 
-  1. draw the delay campaign's schedule (if any) and the noise matrix from
-     a single :class:`numpy.random.Generator` seeded by the run seed, so a
-     scenario + seed is bit-reproducible across processes;
-  2. execute on the engine the compiler chose (or an explicit override) —
-     both engines consume the *same* execution-time matrix, which is what
-     makes cross-engine results agree to machine precision;
-  3. evaluate the requested outputs.
-
-- :func:`run_scenario_batch` executes B runs of *one* compiled scenario
-  (differing only in their seeds — e.g. the replicate draws of a delay
-  campaign) as a single ``[B, n_ranks, n_steps]`` invocation of the
-  batched engine — the lockstep recurrence, or the DAG engine's
-  build-once/propagate-many :class:`~repro.sim.engine.StaticDag` sweep
-  for forced-DAG scenarios.  Step 1 and 3 run per seed exactly as in the
-  serial path and both batched propagations are elementwise along the
-  batch axis, so every run's outputs are **bit-identical** to what
-  :func:`run_scenario` produces for the same seed — the contract the
-  campaign runtime's content-addressed cache relies on.
+:func:`run_scenario_batch` runs those steps for the seeds of one
+replicate block; :func:`run_scenario` is its one-seed case.  The
+campaign task functions and batchers (:mod:`repro.scenarios.tasks`,
+:mod:`repro.scenarios.batch`, :mod:`repro.reports.tasks`) are built on
+the same steps, which is the bit-identity contract the campaign
+runtime's content-addressed cache relies on.
 """
 
 from __future__ import annotations
@@ -38,9 +37,10 @@ from repro.scenarios.outputs import compute_outputs
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.engine import simulate_dag_batch
 from repro.sim.hybrid import HybridConfig, hybrid_exec_times
-from repro.sim.lockstep import simulate_lockstep, simulate_lockstep_batch
+from repro.sim.lockstep import simulate_lockstep_batch
 
-__all__ = ["PreparedRun", "ScenarioRun", "run_scenario", "run_scenario_batch"]
+__all__ = ["PreparedRun", "ScenarioRun", "run_scenario", "run_scenario_batch",
+           "simulate_prepared"]
 
 
 @dataclass
@@ -143,115 +143,20 @@ def _prepare_scenario_run_inner(
     )
 
 
-def _execute_prepared(compiled: CompiledScenario, prepared: PreparedRun) -> RunTiming:
-    """Run one prepared scenario on the compiled engine choice."""
-    with telemetry.span("scenario.execute", engine=compiled.engine):
-        return _execute_prepared_inner(compiled, prepared)
+def simulate_prepared(
+    compiled: CompiledScenario, prepared: "Sequence[PreparedRun]"
+) -> "list[RunTiming]":
+    """Run B >= 1 prepared draws of one compiled scenario as one engine call.
 
-
-def _execute_prepared_inner(
-    compiled: CompiledScenario, prepared: PreparedRun
-) -> RunTiming:
-    if compiled.engine == "lockstep":
-        result = simulate_lockstep(
-            prepared.cfg, exec_times=prepared.exec_times,
-            network=compiled.network, domain=compiled.domain,
-            protocol=compiled.protocol, eager_limit=compiled.eager_limit,
-            mapping=compiled.mapping,
-        )
-        return RunTiming.from_lockstep(result)
-    # DAG reference: a one-draw batch — the structure comes from the build
-    # cache (shared across a campaign's draws), no Program or OpRecord
-    # objects are built; matrices are bitwise identical to the full-trace
-    # path.
-    result = simulate_dag_batch(prepared.cfg, prepared.exec_times[None],
-                                compiled.sim_config())[0]
-    result.meta.pop("n_batch")
-    return RunTiming.from_dag(result)
-
-
-def finish_scenario_run(
-    compiled: CompiledScenario, prepared: PreparedRun, timing: RunTiming
-) -> ScenarioRun:
-    """Evaluate the scenario's requested outputs against a finished run."""
-    with telemetry.span("scenario.finish"):
-        data, tables = compute_outputs(compiled, timing)
-    return ScenarioRun(
-        compiled=compiled, seed=prepared.seed, timing=timing,
-        n_campaign_delays=prepared.n_campaign_delays, data=data, tables=tables,
-    )
-
-
-def run_scenario(
-    scenario: "ScenarioSpec | CompiledScenario",
-    seed: "int | None" = None,
-    engine: str = "auto",
-) -> ScenarioRun:
-    """Execute one scenario and evaluate its outputs.
-
-    Parameters
-    ----------
-    scenario:
-        A spec (compiled here) or an already compiled scenario.  A
-        ``sweep`` block is ignored — this runs the base point; use
-        :mod:`repro.scenarios.sweep` for grids.
-    seed:
-        Run seed; defaults to the spec's own ``seed``.  All randomness
-        (campaign schedule, noise) derives from it.
-    engine:
-        Engine override, forwarded to the compiler when ``scenario`` is a
-        spec.  Ignored for pre-compiled scenarios.
+    The single step from drawn inputs to timing matrices: every scenario
+    and report run goes through here, a single run being the B = 1 case.
+    The draws' execution-time matrices are stacked into one
+    ``[B, n_ranks, n_steps]`` invocation of the compiled engine — the
+    lockstep recurrence, or one batched propagation through a cached
+    :class:`~repro.sim.engine.StaticDag`.  Both are elementwise along the
+    batch axis, so each run's timing is bit-identical whatever block it
+    ran in.  Each timing's ``delays``/``seed`` meta names its own draw.
     """
-    if isinstance(scenario, CompiledScenario):
-        compiled = scenario
-    else:
-        with telemetry.span("scenario.compile"):
-            compiled = compile_scenario(scenario, engine=engine)
-    # Own the run lifecycle only at top level: as one task of a sweep or
-    # report campaign this stays silent (the campaign emits per-task
-    # events; worker-local run.* events are dropped on merge).
-    owns_run = telemetry.enabled() and not telemetry.in_run()
-    if owns_run:
-        run_seed = compiled.spec.seed if seed is None else int(seed)
-        telemetry.emit("run.start", kind="scenario.run",
-                       name=compiled.spec.name, n_tasks=1,
-                       engine=compiled.engine, seed_root=run_seed, jobs=1)
-        telemetry.emit("task.start", index=0)
-    prepared = prepare_scenario_run(compiled, seed)
-    timing = _execute_prepared(compiled, prepared)
-    run = finish_scenario_run(compiled, prepared, timing)
-    if owns_run:
-        telemetry.emit("task.done", index=0)
-        telemetry.emit("run.finish", status="ok", n_tasks=1, n_failed=0)
-    return run
-
-
-def run_scenario_batch(
-    scenario: "ScenarioSpec | CompiledScenario",
-    seeds: Sequence[int],
-    engine: str = "auto",
-) -> "list[ScenarioRun]":
-    """Execute one scenario for many seeds as a single batched engine call.
-
-    The runs share everything but their seed (campaign schedule, noise
-    draw), which is the shape of a delay-campaign replicate block.  On the
-    lockstep engine the B execution-time matrices are stacked into one
-    ``[B, n_ranks, n_steps]`` recurrence; on the DAG engine (forced, or
-    chosen for a program the fast path cannot express) the B draws flow
-    through one cached :class:`~repro.sim.engine.StaticDag` structure as
-    a single batched propagation.  Either way, each returned
-    :class:`ScenarioRun` is bit-identical to
-    ``run_scenario(scenario, seed=s)`` for its seed.
-    """
-    if isinstance(scenario, CompiledScenario):
-        compiled = scenario
-    else:
-        with telemetry.span("scenario.compile"):
-            compiled = compile_scenario(scenario, engine=engine)
-    if not seeds:
-        return []
-    prepared = [prepare_scenario_run(compiled, s) for s in seeds]
-
     stacked = np.stack([p.exec_times for p in prepared])
     with telemetry.span("scenario.execute", engine=compiled.engine,
                         batch=len(prepared)):
@@ -267,10 +172,94 @@ def run_scenario_batch(
             batch = simulate_dag_batch(compiled.cfg, stacked,
                                        compiled.sim_config())
             from_result = RunTiming.from_dag
-    runs = []
+    timings = []
     for b, p in enumerate(prepared):
         result = batch[b]
-        result.meta.pop("n_batch", None)
+        result.meta.pop("n_batch")
         result.meta.update({"delays": p.cfg.delays, "seed": p.seed})
-        runs.append(finish_scenario_run(compiled, p, from_result(result)))
-    return runs
+        timings.append(from_result(result))
+    return timings
+
+
+def finish_scenario_run(
+    compiled: CompiledScenario, prepared: PreparedRun, timing: RunTiming
+) -> ScenarioRun:
+    """Evaluate the scenario's requested outputs against a finished run."""
+    with telemetry.span("scenario.finish"):
+        data, tables = compute_outputs(compiled, timing)
+    return ScenarioRun(
+        compiled=compiled, seed=prepared.seed, timing=timing,
+        n_campaign_delays=prepared.n_campaign_delays, data=data, tables=tables,
+    )
+
+
+def _compiled(scenario: "ScenarioSpec | CompiledScenario",
+              engine: str) -> CompiledScenario:
+    if isinstance(scenario, CompiledScenario):
+        return scenario
+    with telemetry.span("scenario.compile"):
+        return compile_scenario(scenario, engine=engine)
+
+
+def run_scenario(
+    scenario: "ScenarioSpec | CompiledScenario",
+    seed: "int | None" = None,
+    engine: str = "auto",
+) -> ScenarioRun:
+    """Execute one scenario and evaluate its outputs.
+
+    The one-draw case of :func:`run_scenario_batch`.
+
+    Parameters
+    ----------
+    scenario:
+        A spec (compiled here) or an already compiled scenario.  A
+        ``sweep`` block is ignored — this runs the base point; use
+        :mod:`repro.scenarios.sweep` for grids.
+    seed:
+        Run seed; defaults to the spec's own ``seed``.  All randomness
+        (campaign schedule, noise) derives from it.
+    engine:
+        Engine override, forwarded to the compiler when ``scenario`` is a
+        spec.  Ignored for pre-compiled scenarios.
+    """
+    compiled = _compiled(scenario, engine)
+    # Own the run lifecycle only at top level: as one task of a sweep or
+    # report campaign this stays silent (the campaign emits per-task
+    # events; worker-local run.* events are dropped on merge).
+    owns_run = telemetry.enabled() and not telemetry.in_run()
+    if owns_run:
+        run_seed = compiled.spec.seed if seed is None else int(seed)
+        telemetry.emit("run.start", kind="scenario.run",
+                       name=compiled.spec.name, n_tasks=1,
+                       engine=compiled.engine, seed_root=run_seed, jobs=1)
+        telemetry.emit("task.start", index=0)
+    [run] = run_scenario_batch(compiled, [seed])
+    if owns_run:
+        telemetry.emit("task.done", index=0)
+        telemetry.emit("run.finish", status="ok", n_tasks=1, n_failed=0)
+    return run
+
+
+def run_scenario_batch(
+    scenario: "ScenarioSpec | CompiledScenario",
+    seeds: "Sequence[int | None]",
+    engine: str = "auto",
+) -> "list[ScenarioRun]":
+    """Execute one scenario for many seeds as a single batched engine call.
+
+    The runs share everything but their seed (campaign schedule, noise
+    draw), which is the shape of a delay-campaign replicate block; a
+    ``None`` seed is the spec's own.  Each run's randomness is drawn by
+    :func:`prepare_scenario_run` and all B draws execute in one
+    :func:`simulate_prepared` call, so each returned
+    :class:`ScenarioRun` is bit-identical to
+    ``run_scenario(scenario, seed=s)`` for its seed.
+    """
+    compiled = _compiled(scenario, engine)
+    if not seeds:
+        return []
+    prepared = [prepare_scenario_run(compiled, s) for s in seeds]
+    timings = simulate_prepared(compiled, prepared)
+    return [finish_scenario_run(compiled, p, t)
+            for p, t in zip(prepared, timings)]

@@ -215,7 +215,6 @@ def run_scenario_sweep(
     engine: str = "auto",
     jobs: int = 1,
     store=None,
-    batch: bool = True,
     retry=None,
     stall_action: str = "warn",
 ) -> ScenarioSweepResult:
@@ -223,10 +222,9 @@ def run_scenario_sweep(
 
     ``jobs``/``store``/``retry``/``stall_action`` are forwarded to
     :func:`repro.runtime.executor.run_campaign`; task failures raise.
-    With ``batch`` (the default) contiguous replicate blocks of one grid
-    point execute as single batched-engine invocations — results are
-    bit-identical to unbatched runs, only faster.  A
-    :class:`~repro.runtime.retry.RetryPolicy` makes transient task
+    Contiguous replicate blocks of one grid point execute as single
+    engine invocations (:class:`~repro.scenarios.batch.ScenarioTaskBatcher`).
+    A :class:`~repro.runtime.retry.RetryPolicy` makes transient task
     failures self-heal with results bit-identical to a first-attempt
     success.
     """
@@ -247,7 +245,7 @@ def run_scenario_sweep(
         )
     campaign = run_campaign(
         tasks, jobs=jobs, store=store,
-        batcher=ScenarioTaskBatcher() if batch else None,
+        batcher=ScenarioTaskBatcher(),
         retry=retry, stall_action=stall_action,
     )
     if owns_run:

@@ -24,8 +24,8 @@ def resolve_task_scenario(
     """Resolve a task's scenario document + overrides into a spec.
 
     The single definition of how campaign tasks interpret their scenario
-    parameters — shared by :func:`scenario_task` and the batched path
-    (:class:`repro.scenarios.batch.ScenarioTaskBatcher`), so the two can
+    parameters — shared by the task functions and the batched path
+    (:class:`repro.scenarios.batch.SeedBlockBatcher`), so the two can
     never drift apart and break their bit-identity contract.
     """
     data = dict(scenario)
@@ -62,7 +62,12 @@ def scenario_task(
     from repro.scenarios.runner import run_scenario
 
     spec = resolve_task_scenario(scenario, overrides)
-    run = run_scenario(spec, seed=seed, engine=engine)
+    return outputs_value(run_scenario(spec, seed=seed, engine=engine),
+                         replicate)
+
+
+def outputs_value(run, replicate: int) -> dict:
+    """A scenario task's value: the run's outputs and provenance."""
     return {
         "outputs": run.data,
         "engine": run.compiled.engine,

@@ -65,6 +65,22 @@ class TestRun:
         assert "report error" in capsys.readouterr().err
 
 
+class TestRetryFlags:
+    @pytest.mark.parametrize("argv", [
+        ["--retries", "-1"],
+        ["--retries", "2", "--retry-backoff", "-1"],
+        ["--retry-backoff", "nan"],
+    ])
+    def test_negative_retry_flags_exit_2_without_traceback(self, argv,
+                                                           capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["report", "run", "fig7_speed", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be >= 0, got {argv[-1]}" in err
+        assert "Traceback" not in err
+
+
 class TestResume:
     def test_resume_links_the_new_run_to_the_old_one(self, tmp_path, capsys):
         from repro.obs.ledger import RunLedger

@@ -14,7 +14,7 @@ from repro.reports import (
     run_report,
     write_artifacts,
 )
-from repro.runtime import ResultStore
+from repro.runtime import ResultStore, run_campaign
 
 
 def make_spec(**overrides) -> ReportSpec:
@@ -108,10 +108,16 @@ class TestRun:
         assert "0 from store" in text and "12 executed" in text
         assert "campaign.rate" in text
 
-    def test_batched_and_unbatched_agree(self):
+    def test_batched_and_unbatched_agree(self, tmp_path):
+        """A report over records of per-task runs equals one whose
+        misses ran in seed blocks."""
         compiled = compile_report(make_spec(aggregate=["mean", "std"]))
-        batched = run_report(compiled, batch=True)
-        unbatched = run_report(compiled, batch=False)
+        batched = run_report(compiled)
+        store = ResultStore(tmp_path / "per_task")
+        for target in compiled.targets:
+            run_campaign(target.sweep.tasks(), store=store, batcher=None)
+        unbatched = run_report(compiled, store=store)
+        assert unbatched.n_executed == 0
         assert [r.values for r in batched.rows] == \
             [r.values for r in unbatched.rows]
 
@@ -149,7 +155,6 @@ class TestStoreBacked:
         monkeypatch.setattr(lockstep_mod, "simulate_lockstep_batch", boom)
         monkeypatch.setattr(engine_mod, "simulate_dag", boom)
         monkeypatch.setattr(engine_mod, "simulate_dag_batch", boom)
-        monkeypatch.setattr(runner_mod, "simulate_lockstep", boom)
         monkeypatch.setattr(runner_mod, "simulate_lockstep_batch", boom)
         monkeypatch.setattr(runner_mod, "simulate_dag_batch", boom)
         monkeypatch.setattr(runner_mod, "prepare_scenario_run", boom)

@@ -6,15 +6,21 @@ change:
 
 - batching is execution-only: a batched replicate block stores its
   results under the very keys the unbatched tasks would use (bit-identical
-  values — asserted in ``tests/scenarios/test_batch.py``);
+  values — asserted in ``tests/scenarios/test_batch.py``; report timing
+  tasks' entry bytes are compared below);
 - engine dispatch is semantics: scenario sweeps resolve ``engine="auto"``
   to the concrete engine *before* the key is formed, so results computed
   under an older dispatch rule (e.g. ``auto`` meaning "DAG for ppn
   scenarios") can never be served to the new one.
 """
 
-import pytest
+import dataclasses
 
+import pytest
+from store_helpers import entry_bytes
+
+from repro.reports import compile_report, load_bundled_report
+from repro.reports.tasks import ReportTaskBatcher
 from repro.runtime import ResultStore, RunSpec, run_campaign, spec_key
 from repro.scenarios import load_bundled_scenario, scenario_sweep_spec
 from repro.scenarios.batch import SCENARIO_TASK_FN
@@ -100,6 +106,28 @@ class TestSweepKeysNameTheResolvedEngine:
         run_campaign([task], jobs=1, store=store)
         record, _ = ResultStore(store.root)._shards.read(task.key)
         assert record["spec"]["params"]["engine"] == "lockstep"
+
+
+class TestReportTimingRecords:
+    @pytest.mark.parametrize("engine", ["lockstep", "dag"])
+    @pytest.mark.parametrize("report,n_keys", [
+        ("campaign_rate_response", 12), ("cross_scenario_waves", 3),
+        ("fig7_speed", 2), ("fig8_decay", 15), ("hybrid_desync_profile", 12),
+    ])
+    def test_report_timing_records_match_per_task_bytes(
+            self, tmp_path, report, n_keys, engine):
+        """Timing tasks cache the same entry bytes under the same keys
+        whether each runs alone or inside a seed block."""
+        spec = dataclasses.replace(load_bundled_report(report), engine=engine)
+        tasks = [task for target in compile_report(spec).targets
+                 for task in target.sweep.tasks()]
+        run_campaign(tasks, jobs=1, store=ResultStore(tmp_path / "per_task"),
+                     batcher=None)
+        run_campaign(tasks, jobs=1, store=ResultStore(tmp_path / "blocks"),
+                     batcher=ReportTaskBatcher())
+        per_task = entry_bytes(tmp_path / "per_task")
+        assert len(per_task) == n_keys
+        assert entry_bytes(tmp_path / "blocks") == per_task
 
 
 class TestMixedEngineSweepSafety:

@@ -10,6 +10,7 @@ import pytest
 from store_helpers import entry_bytes
 
 from repro.runtime import ResultStore, RunSpec, run_campaign
+from repro.runtime.executor import contiguous_blocks
 from repro.scenarios import (
     ScenarioTaskBatcher,
     load_bundled_scenario,
@@ -34,6 +35,11 @@ def sweep_tasks(name="campaign_rate_sweep", **kw):
     return scenario_sweep_spec(load_bundled_scenario(name), **kw).tasks()
 
 
+def per_task(tasks, **kw):
+    """The reference side: every task through its own function call."""
+    return run_campaign(tasks, batcher=None, **kw)
+
+
 class UnreturnableResultBatcher(ScenarioTaskBatcher):
     """Computes correct values but poisons them so the worker cannot ship
     them back (unpicklable) — simulates a block whose future dies."""
@@ -55,7 +61,8 @@ class TestPlanner:
 
     def test_max_block_caps_group_size(self):
         tasks = sweep_tasks()
-        blocks = ScenarioTaskBatcher(max_block=3).plan(tasks)
+        sigs = [ScenarioTaskBatcher._signature(t) for t in tasks]
+        blocks = contiguous_blocks(sigs, 3)
         assert max(len(b) for b in blocks) == 3
         assert sum(len(b) for b in blocks) == len(tasks)
 
@@ -76,6 +83,20 @@ class TestPlanner:
         )
         assert ScenarioTaskBatcher().plan(specs) == [[0], [1], [2]]
 
+    def test_seedless_scenario_tasks_group_on_their_seed_param(self):
+        """Without a derived seed a task's seed is its ``seed`` parameter:
+        such tasks group like replicates and keep their per-task values."""
+        specs = tuple(
+            RunSpec(fn=SCENARIO_TASK_FN,
+                    params=(*t.params, ("seed", t.seed)), index=t.index)
+            for t in sweep_tasks()
+        )
+        blocks = ScenarioTaskBatcher().plan(specs)
+        assert [len(b) for b in blocks] == [4, 4, 4]
+        block = specs[:4]
+        values = ScenarioTaskBatcher().execute(block)
+        assert values == [t.call() for t in block]
+
     def test_different_grid_points_split_blocks(self):
         tasks = sweep_tasks()
         sigs = [ScenarioTaskBatcher._signature(t) for t in tasks]
@@ -86,14 +107,11 @@ class TestPlanner:
 class TestBatchedCampaignBitIdentity:
     def test_batched_store_records_equal_serial_byte_for_byte(self, tmp_path):
         spec = load_bundled_scenario("campaign_rate_sweep")
-        serial_store = ResultStore(tmp_path / "serial")
-        batched_store = ResultStore(tmp_path / "batched")
-        serial = run_scenario_sweep(spec, jobs=1, store=serial_store,
-                                    batch=False)
-        batched = run_scenario_sweep(spec, jobs=1, store=batched_store,
-                                     batch=True)
-        assert serial.campaign.values() == batched.campaign.values()
-        assert serial.points == batched.points
+        serial = per_task(sweep_tasks(), jobs=1,
+                          store=ResultStore(tmp_path / "serial"))
+        batched = run_scenario_sweep(spec, jobs=1,
+                                     store=ResultStore(tmp_path / "batched"))
+        assert serial.values() == batched.campaign.values()
         assert_records_byte_identical(tmp_path / "serial",
                                       tmp_path / "batched", N_SWEEP)
 
@@ -106,37 +124,35 @@ class TestBatchedCampaignBitIdentity:
         execution.
         """
         spec = load_bundled_scenario("campaign_rate_sweep")
-        serial_store = ResultStore(tmp_path / "serial")
-        batched_store = ResultStore(tmp_path / "batched")
-        serial = run_scenario_sweep(spec, engine="dag", jobs=1,
-                                    store=serial_store, batch=False)
+        serial = per_task(sweep_tasks(engine="dag"), jobs=1,
+                          store=ResultStore(tmp_path / "serial"))
         batched = run_scenario_sweep(spec, engine="dag", jobs=1,
-                                     store=batched_store, batch=True)
+                                     store=ResultStore(tmp_path / "batched"))
         assert all(v["engine"] == "dag" for v in batched.campaign.values())
-        assert serial.campaign.values() == batched.campaign.values()
+        assert serial.values() == batched.campaign.values()
         assert_records_byte_identical(tmp_path / "serial",
                                       tmp_path / "batched", N_SWEEP)
 
     def test_batched_results_warm_an_unbatched_rerun(self, tmp_path):
         spec = load_bundled_scenario("campaign_rate_sweep")
         store = ResultStore(tmp_path / "store")
-        cold = run_scenario_sweep(spec, store=store, batch=True)
+        cold = run_scenario_sweep(spec, store=store)
         assert cold.campaign.n_executed == len(cold.campaign)
-        warm = run_scenario_sweep(spec, store=store, batch=False)
-        assert warm.campaign.n_cached == len(warm.campaign)
-        assert warm.campaign.values() == cold.campaign.values()
+        warm = per_task(sweep_tasks(), store=store)
+        assert warm.n_cached == len(warm)
+        assert warm.values() == cold.campaign.values()
 
     def test_sharded_batched_sweep_is_bit_identical(self):
         spec = load_bundled_scenario("campaign_rate_sweep")
-        serial = run_scenario_sweep(spec, jobs=1, batch=False)
-        sharded = run_scenario_sweep(spec, jobs=2, batch=True)
-        assert serial.campaign.values() == sharded.campaign.values()
+        serial = per_task(sweep_tasks(), jobs=1)
+        sharded = run_scenario_sweep(spec, jobs=2)
+        assert serial.values() == sharded.campaign.values()
 
     def test_hierarchical_sweep_batches_on_lockstep(self, tmp_path):
         """A ppn scenario (previously DAG-only) batches and caches cleanly."""
         spec = load_bundled_scenario("emmy_mapped_dag")
         store = ResultStore(tmp_path / "store")
-        result = run_scenario_sweep(spec, store=store, batch=True)
+        result = run_scenario_sweep(spec, store=store)
         assert all(v["engine"] == "lockstep"
                    for v in result.campaign.values())
         direct = run_scenario(spec.without_sweep())
@@ -171,10 +187,10 @@ class TestTelemetryDeterminism:
 
     def test_profiled_parallel_sweep_matches_plain_serial(self, profiled):
         spec = load_bundled_scenario("campaign_rate_sweep")
-        prof = run_scenario_sweep(spec, jobs=2, batch=True)
+        prof = run_scenario_sweep(spec, jobs=2)
         profiled.disable()
-        plain = run_scenario_sweep(spec, jobs=1, batch=False)
-        assert prof.campaign.values() == plain.campaign.values()
+        plain = per_task(sweep_tasks(), jobs=1)
+        assert prof.campaign.values() == plain.values()
 
     def test_profiled_engine_outputs_bitwise_equal(self, profiled):
         spec = load_bundled_scenario(
@@ -228,10 +244,10 @@ class TestObservabilityDeterminism:
 
     def test_observed_parallel_sweep_matches_plain_serial(self, observed):
         spec = load_bundled_scenario("campaign_rate_sweep")
-        obs = run_scenario_sweep(spec, jobs=2, batch=True)
+        obs = run_scenario_sweep(spec, jobs=2)
         observed.disable()
-        plain = run_scenario_sweep(spec, jobs=1, batch=False)
-        assert obs.campaign.values() == plain.campaign.values()
+        plain = per_task(sweep_tasks(), jobs=1)
+        assert obs.campaign.values() == plain.values()
 
     def test_observed_and_profiled_together_stay_pure(
             self, tmp_path, observed):

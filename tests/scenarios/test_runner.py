@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.scenarios import ScenarioSpec, run_scenario
+from repro.scenarios import ScenarioSpec, bundled_scenario_names, run_scenario
 
 
 def spec(**extra) -> ScenarioSpec:
@@ -101,3 +101,48 @@ class TestHybrid:
         np.testing.assert_allclose(fast.timing.completion,
                                    slow.timing.completion,
                                    rtol=1e-12, atol=1e-12)
+
+
+class TestSimulatePrepared:
+    """The block function against the per-draw engine calls it replaced:
+    same matrices and the same run meta (each draw's own delays/seed)."""
+
+    @staticmethod
+    def per_draw(compiled, prepared):
+        from repro.core.timing import RunTiming
+        from repro.sim import simulate_dag_batch, simulate_lockstep
+
+        if compiled.engine == "lockstep":
+            return RunTiming.from_lockstep(simulate_lockstep(
+                prepared.cfg, exec_times=prepared.exec_times,
+                network=compiled.network, domain=compiled.domain,
+                protocol=compiled.protocol, eager_limit=compiled.eager_limit,
+                mapping=compiled.mapping,
+            ))
+        result = simulate_dag_batch(prepared.cfg, prepared.exec_times[None],
+                                    compiled.sim_config())[0]
+        result.meta.pop("n_batch")
+        return RunTiming.from_dag(result)
+
+    @pytest.mark.parametrize("engine", ["auto", "dag"])
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_matches_per_draw_engine_calls(self, name, engine):
+        from repro.scenarios import compile_scenario, load_bundled_scenario
+        from repro.scenarios.runner import (
+            prepare_scenario_run,
+            simulate_prepared,
+        )
+
+        compiled = compile_scenario(
+            load_bundled_scenario(name).without_sweep(), engine=engine)
+        prepared = [prepare_scenario_run(compiled, s) for s in (0, 3)]
+        blocks = [simulate_prepared(compiled, [p])[0] for p in prepared]
+        blocks2 = simulate_prepared(compiled, prepared)
+        for p, one, two in zip(prepared, blocks, blocks2):
+            ref = self.per_draw(compiled, p)
+            for timing in (one, two):
+                for field in ("exec_end", "completion", "idle"):
+                    np.testing.assert_array_equal(getattr(timing, field),
+                                                  getattr(ref, field))
+                assert timing.meta == ref.meta
+                assert timing.meta["seed"] == p.seed

@@ -111,6 +111,16 @@ class TestParserHardening:
             build_scenario_parser().parse_args(
                 ["sweep", "campaign_rate_sweep", "--jobs", "-1"])
 
+    @pytest.mark.parametrize("flag", ["--retries", "--retry-backoff"])
+    def test_negative_retry_flags_exit_2_without_traceback(self, flag,
+                                                           capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "sweep", "campaign_rate_sweep", flag, "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= 0, got -1" in err
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             build_scenario_parser().parse_args(["frobnicate"])
