@@ -1,18 +1,24 @@
 """Benchmark: regenerate Fig. 4 — basic delay propagation.
 
-Prints the rank/time diagram and the wave-front arrival rows; asserts the
+Runs the bundled ``fig4_single_delay`` scenario (what ``repro-experiment
+fig4`` runs) and prints its rank/time diagram and wave speed; asserts the
 measured speed against Eq. 2 and the absence of backward propagation.
 """
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.core import default_threshold, wave_front
+from repro.scenarios import load_bundled_scenario, run_scenario
 
 
 def test_bench_fig4_basic_propagation(once):
-    result = once(run_experiment, "fig4", fast=True)
+    run = once(run_scenario, load_bundled_scenario("fig4_single_delay"))
     print()
-    print(result.render())
+    print(run.render())
 
-    assert result.data["speed"] == pytest.approx(result.data["model_speed"], rel=0.01)
-    assert result.data["downward_reach"] == 0
+    wave = run.data["wave_speed"]
+    assert wave["measured_speed"] == \
+        pytest.approx(wave["predicted_speed"], rel=0.01)
+    down = wave_front(run.timing, source=5, direction=-1,
+                      threshold=default_threshold(run.timing))
+    assert down.reach == 0

@@ -2,11 +2,12 @@
 
 Usage::
 
-    repro-experiment fig4                 # fast variant of the Fig. 4 study
+    repro-experiment fig5                 # fast variant of the Fig. 5 study
     repro-experiment fig8 --full          # paper-sized run counts
+    repro-experiment fig4                 # = scenario run fig4_single_delay
+    repro-experiment fig7                 # = report run fig7_speed
     repro-experiment all --seed 3         # everything
     repro-experiment list --json          # experiment ids + descriptions
-    repro-experiment ext_campaign --jobs 4 --cache-dir ~/.cache/repro
     python -m repro fig5                  # module form
 
     repro-experiment scenario list                      # bundled scenarios
@@ -37,12 +38,15 @@ Usage::
     repro-experiment golden --check       # verify the golden-trace corpus
     repro-experiment golden --regen       # regenerate tests/golden/
 
-Campaign-style experiments and scenario sweeps execute through the
-parallel campaign runtime (:mod:`repro.runtime`): ``--jobs N`` shards
-their independent runs over N worker processes (``--jobs 0`` auto-detects
-the CPU count) and ``--cache-dir`` enables the content-addressed on-disk
-result store, so a repeated invocation skips every already-simulated run.
-Results are bit-identical for a given ``--seed`` regardless of ``--jobs``.
+A figure id either runs its experiment driver in-process and prints the
+result, or — for the figures in :data:`FIGURE_ALIASES` — runs the bundled
+spec that reproduces it, exactly as ``scenario run``/``report run`` would.
+Scenario sweeps and report runs execute through the parallel campaign
+runtime (:mod:`repro.runtime`): ``--jobs N`` shards their independent runs
+over N worker processes (``--jobs 0`` auto-detects the CPU count) and
+``--cache-dir`` enables the content-addressed on-disk result store, so a
+repeated invocation skips every already-simulated run.  Results are
+bit-identical for a given seed regardless of ``--jobs``.
 """
 
 from __future__ import annotations
@@ -51,17 +55,18 @@ import argparse
 import json
 import sys
 import time
-import traceback
 
-from repro.experiments import (
-    EXPERIMENTS,
-    RuntimeOptions,
-    experiment_descriptions,
-    run_experiment,
-)
+from repro.experiments import EXPERIMENTS, experiment_descriptions, run_experiment
 
-__all__ = ["main", "build_parser", "backoff_arg", "jobs_arg",
-           "maybe_profiled", "open_store", "retries_arg", "retry_policy"]
+__all__ = ["FIGURE_ALIASES", "main", "build_parser", "add_run_flags",
+           "open_store", "retry_policy", "run_observed"]
+
+#: Paper figures reproduced by a bundled spec rather than a driver:
+#: figure id -> (``scenario`` | ``report``, bundled spec name).
+FIGURE_ALIASES = {
+    "fig4": ("scenario", "fig4_single_delay"),
+    "fig7": ("report", "fig7_speed"),
+}
 
 
 def jobs_arg(text: str) -> int:
@@ -140,6 +145,106 @@ def maybe_profiled(args, label: str, tracker=None):
     )
 
 
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The run flags ``scenario run|sweep`` and ``report run`` share."""
+    parser.add_argument("--jobs", type=jobs_arg, default=1, metavar="N",
+                        help="worker processes for cache misses (0 = auto)")
+    parser.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="content-addressed result store; cached runs "
+                             "are loaded with zero engine invocations")
+    parser.add_argument("--profile", action="store_true",
+                        help="record telemetry (spans, cache hit rates) and "
+                             "print a summary; results are unchanged")
+    parser.add_argument("--telemetry-out", default=None, metavar="FILE",
+                        help="write the run's telemetry JSONL here "
+                             "(implies --profile); inspect with "
+                             "'repro-experiment stats'")
+    parser.add_argument("--progress", action=argparse.BooleanOptionalAction,
+                        default=None,
+                        help="live progress line on stderr (default: auto "
+                             "when stderr is a TTY)")
+    parser.add_argument("--retries", type=retries_arg, default=0, metavar="N",
+                        help="retry failed tasks up to N times with "
+                             "deterministic seed-jittered backoff (results "
+                             "are bit-identical to a first-attempt success)")
+    parser.add_argument("--retry-backoff", type=backoff_arg, default=0.05,
+                        metavar="SECONDS",
+                        help="base backoff between retry attempts; doubles "
+                             "per attempt (default: 0.05)")
+    parser.add_argument("--stall-action", choices=["warn", "retry"],
+                        default="warn",
+                        help="watchdog response to stalled tasks: warn only, "
+                             "or abandon the stalled block and re-dispatch "
+                             "its tasks (default: warn)")
+    parser.add_argument("--resume", default=None, metavar="RUN_ID",
+                        help="resume an interrupted run: completed tasks "
+                             "are served from the run's cache, and the new "
+                             "ledger record links back via resumed_from "
+                             "(requires --cache-dir)")
+
+
+def _resume_target(args, kind: str, name: str, spec_key=None):
+    """``--resume RUN_ID``: ``(ledger record, None)`` or ``(None, problem)``.
+
+    The target must be a run of the same kind and name — and, when both
+    runs have a spec key (``spec_key()`` computes this invocation's), of
+    the same grid: resuming anything else would serve the wrong
+    campaign's results from the old cache.
+    """
+    if not args.resume:
+        return None, None
+    if args.cache_dir is None:
+        return None, ("--resume requires --cache-dir: completed tasks are "
+                      "served from the result store of the interrupted run")
+    from repro.obs.ledger import RunLedger
+
+    try:
+        record = RunLedger(args.cache_dir).find(args.resume)
+    except KeyError as exc:
+        return None, str(exc.args[0])
+    if (record.get("kind"), record.get("name")) != (kind, name):
+        return None, (f"run {record['id']} is a {record.get('kind')} of "
+                      f"{record.get('name')!r}, not a {kind} of {name!r}")
+    theirs = record.get("spec_key")
+    ours = spec_key() if theirs and spec_key is not None else None
+    if ours and ours != theirs:
+        return None, (f"run {record['id']} swept a different grid "
+                      f"(spec_key {theirs}, this invocation {ours}); pass "
+                      "the same spec, --seed, and --engine to resume it")
+    return record, None
+
+
+def run_observed(args, kind: str, name: str, compute, show, *,
+                 label: str, spec_key=None) -> int:
+    """One observed CLI run; returns its exit status.
+
+    Resolves ``--resume`` (a bad target exits 2 with a one-line
+    ``<label> error``), then runs ``compute()`` under the run ledger and
+    ``--profile`` telemetry and hands its result to
+    ``show(result, tracker)``.  A :class:`~repro.runtime.store.StoreError`
+    exits 2 with a one-line ``store error``.
+    """
+    resumed, problem = _resume_target(args, kind, name, spec_key)
+    if problem is not None:
+        print(f"{label} error: {problem}", file=sys.stderr)
+        return 2
+    from repro.obs import observe_run
+    from repro.runtime.store import StoreError
+
+    try:
+        with observe_run(kind, name, cache_dir=args.cache_dir,
+                         progress=args.progress) as tracker:
+            if resumed is not None:
+                tracker.set_resumed_from(resumed["id"])
+            with maybe_profiled(args, kind, tracker):
+                result = compute()
+            show(result, tracker)
+    except StoreError as exc:
+        print(f"store error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiment",
@@ -162,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=[*sorted(EXPERIMENTS), "all", "list", "scenario", "report",
-                 "store", "stats", "runs", "perf", "golden"],
+        choices=[*sorted({*EXPERIMENTS, *FIGURE_ALIASES}), "all", "list",
+                 "scenario", "report", "store", "stats", "runs", "perf",
+                 "golden"],
         help=(
             "experiment id (paper figure), 'all', 'list', 'scenario' / "
             "'report' / 'store' / 'stats' / 'runs' / 'perf' (see epilog), "
@@ -173,30 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--full",
         action="store_true",
-        help="paper-sized parameters (slower; default is a fast variant)",
+        help=("paper-sized parameters (slower; default is a fast variant); "
+              "fig4 and fig7 always run their bundled spec as declared"),
     )
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument(
-        "--jobs",
-        type=jobs_arg,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for campaign experiments "
-            "(default 1 = serial, 0 = auto-detect CPU count)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="content-addressed result store; repeated runs skip cached work",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute everything even if --cache-dir has results",
-    )
+    parser.add_argument("--seed", type=int, default=0,
+                        help="base RNG seed (experiment drivers only)")
     parser.add_argument(
         "--json",
         action="store_true",
@@ -206,8 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _alias_description(name: str) -> str:
+    command, bundled = FIGURE_ALIASES[name]
+    if command == "scenario":
+        from repro.scenarios.registry import load_bundled_scenario as load
+    else:
+        from repro.reports.registry import load_bundled_report as load
+    return f"{load(bundled).description} ({command} run {bundled})"
+
+
 def _list_experiments(as_json: bool) -> int:
     descriptions = experiment_descriptions()
+    descriptions.update({name: _alias_description(name)
+                         for name in FIGURE_ALIASES})
     if as_json:
         print(json.dumps(
             [{"id": name, "description": desc}
@@ -219,6 +317,18 @@ def _list_experiments(as_json: bool) -> int:
     for name in sorted(descriptions):
         print(f"{name:<{width}}  {descriptions[name]}")
     return 0
+
+
+def _run_figure(name: str, args) -> None:
+    """Run one figure id and print its output; raises on failure."""
+    if name not in FIGURE_ALIASES:
+        print(run_experiment(name, fast=not args.full, seed=args.seed).render())
+        return
+    command, bundled = FIGURE_ALIASES[name]
+    status = main([command, "run", bundled])
+    if status:
+        raise RuntimeError(f"'{command} run {bundled}' exited with status "
+                           f"{status}")
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -265,26 +375,20 @@ def main(argv: "list[str] | None" = None) -> int:
         return _list_experiments(args.as_json)
 
     run_all = args.experiment == "all"
-    names = sorted(EXPERIMENTS) if run_all else [args.experiment]
-    runtime = RuntimeOptions(
-        jobs=args.jobs, cache_dir=args.cache_dir, use_cache=not args.no_cache
-    )
+    names = sorted({*EXPERIMENTS, *FIGURE_ALIASES}) if run_all \
+        else [args.experiment]
 
     failures: "list[tuple[str, BaseException]]" = []
     for name in names:
         t0 = time.perf_counter()
         try:
-            result = run_experiment(
-                name, fast=not args.full, seed=args.seed, runtime=runtime
-            )
+            _run_figure(name, args)
         except Exception as exc:  # noqa: BLE001 — keep the campaign going
             elapsed = time.perf_counter() - t0
             failures.append((name, exc))
-            traceback.print_exc(file=sys.stderr)
             print(f"\n[{name} FAILED after {elapsed:.1f}s: {exc}]\n")
             continue
         elapsed = time.perf_counter() - t0
-        print(result.render())
         print(f"\n[{name} completed in {elapsed:.1f}s]\n")
 
     if run_all:

@@ -1,8 +1,10 @@
-"""Experiment drivers — one per paper figure plus the Eq. 2 sweep.
+"""Experiment drivers — paper figures without a bundled spec, plus the
+Eq. 2 sweep and the extensions.
 
 Each module exposes ``run(fast=True, seed=0) -> ExperimentResult``.  The
 registry maps experiment ids to those entry points; the CLI and the
-benchmark harness both resolve through it.
+benchmark harness both resolve through it.  Fig. 4 and Fig. 7 have no
+driver: their bundled specs reproduce them (``repro.cli.FIGURE_ALIASES``).
 """
 
 import inspect
@@ -17,19 +19,16 @@ from repro.experiments import (
     fig1_stream_scaling,
     fig2_lbm_timeline,
     fig3_noise_histograms,
-    fig4_basic_propagation,
     fig5_flavors,
     fig6_interaction,
-    fig7_speed_d2,
     fig8_decay_rate,
     fig9_elimination,
 )
-from repro.experiments.base import ExperimentResult, RuntimeOptions
+from repro.experiments.base import ExperimentResult
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
-    "RuntimeOptions",
     "experiment_descriptions",
     "run_experiment",
 ]
@@ -38,10 +37,8 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "fig1": fig1_stream_scaling.run,
     "fig2": fig2_lbm_timeline.run,
     "fig3": fig3_noise_histograms.run,
-    "fig4": fig4_basic_propagation.run,
     "fig5": fig5_flavors.run,
     "fig6": fig6_interaction.run,
-    "fig7": fig7_speed_d2.run,
     "eq2": eq2_speed_model.run,
     "fig8": fig8_decay_rate.run,
     "fig9": fig9_elimination.run,
@@ -65,24 +62,9 @@ def experiment_descriptions() -> "dict[str, str]":
     return out
 
 
-def run_experiment(
-    name: str,
-    fast: bool = True,
-    seed: int = 0,
-    runtime: "RuntimeOptions | None" = None,
-) -> ExperimentResult:
-    """Run one experiment by id ("fig1" .. "fig9", "eq2").
-
-    ``runtime`` (parallelism and result caching, see
-    :class:`~repro.experiments.base.RuntimeOptions`) is forwarded to
-    campaign-style drivers that declare a ``runtime`` parameter; drivers
-    without campaign structure simply ignore it.
-    """
+def run_experiment(name: str, fast: bool = True, seed: int = 0) -> ExperimentResult:
+    """Run one experiment driver by id ("fig1", "eq2", "ext_campaign", ...)."""
     key = name.strip().lower()
     if key not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}")
-    driver = EXPERIMENTS[key]
-    kwargs = {}
-    if runtime is not None and "runtime" in inspect.signature(driver).parameters:
-        kwargs["runtime"] = runtime
-    return driver(fast=fast, seed=seed, **kwargs)
+    return EXPERIMENTS[key](fast=fast, seed=seed)

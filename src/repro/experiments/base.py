@@ -1,52 +1,15 @@
 """Shared experiment infrastructure.
 
-Every paper figure has a driver module exposing ``run(fast=..., seed=...)
--> ExperimentResult``.  Results carry printable text tables (the paper's
-rows/series) plus the raw data dictionaries the tests and benches assert
-against.
-
-Campaign-style drivers (many independent simulation runs) additionally
-accept ``runtime: RuntimeOptions`` and execute their runs through the
-parallel campaign runtime (:mod:`repro.runtime`): sharded across worker
-processes and cached in a content-addressed on-disk result store.
+Every driver module exposes ``run(fast=..., seed=...) -> ExperimentResult``.
+Results carry printable text tables (the paper's rows/series) plus the raw
+data dictionaries the tests and benches assert against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
-__all__ = ["ExperimentResult", "RuntimeOptions"]
-
-
-@dataclass(frozen=True)
-class RuntimeOptions:
-    """How a campaign experiment should execute its runs.
-
-    Attributes
-    ----------
-    jobs:
-        Worker processes: 1 (default) runs serially in-process, N>1
-        shards over a process pool, 0 auto-detects the CPU count.
-    cache_dir:
-        Directory of the content-addressed result store, or ``None``
-        to recompute everything in memory.
-    use_cache:
-        Set ``False`` (CLI ``--no-cache``) to bypass the store even
-        when ``cache_dir`` is configured.
-    """
-
-    jobs: int = 1
-    cache_dir: "str | Path | None" = None
-    use_cache: bool = True
-
-    def store(self):
-        """The configured :class:`~repro.runtime.store.ResultStore`, or None."""
-        if self.cache_dir is None or not self.use_cache:
-            return None
-        from repro.runtime.store import ResultStore
-
-        return ResultStore(self.cache_dir)
+__all__ = ["ExperimentResult"]
 
 
 @dataclass

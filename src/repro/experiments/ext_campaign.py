@@ -12,20 +12,18 @@ cost ratio (runtime excess / injected delay-seconds) therefore falls as
 the rate rises, dropping well below the single-delay reference of 1.
 
 The rate scan is a campaign of independent ``rate x replicate`` runs,
-declared as a :class:`~repro.runtime.spec.SweepSpec` and executed through
-the parallel campaign runtime (:mod:`repro.runtime`): per-run seeds are
-derived deterministically from the experiment's base seed, runs shard
-across worker processes (CLI ``--jobs``), and results land in the
-content-addressed store (CLI ``--cache-dir``) so repeated invocations
-skip already-simulated runs.  Serial and sharded executions are
-bit-identical by construction.
+declared as a :class:`~repro.runtime.spec.SweepSpec` whose per-run seeds
+are derived deterministically from the experiment's base seed; the runs
+execute in-process, serially and uncached (the whole scan takes a fraction
+of a second).  The sharded, cached form of the same study is the bundled
+``campaign_rate_sweep`` scenario (``scenario sweep --jobs N --cache-dir``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.base import ExperimentResult, RuntimeOptions
+from repro.experiments.base import ExperimentResult
 from repro.runtime import SweepSpec, group_by_param, run_campaign
 from repro.runtime.tasks import ring_runtime
 from repro.sim.campaign import DelayCampaign
@@ -77,10 +75,8 @@ def campaign_cost_task(
     }
 
 
-def run(fast: bool = True, seed: int = 0,
-        runtime: "RuntimeOptions | None" = None) -> ExperimentResult:
+def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     """Scan the injection rate and report the marginal delay cost."""
-    opts = runtime or RuntimeOptions()
     rates = (0.001, 0.01, 0.03, 0.08) if fast else (0.001, 0.002, 0.005, 0.01,
                                                     0.02, 0.04, 0.08, 0.15)
     n_runs = 4 if fast else 10
@@ -96,9 +92,7 @@ def run(fast: bool = True, seed: int = 0,
         axes=(("rate", rates), ("replicate", tuple(range(n_runs)))),
         base_seed=seed,
     )
-    campaign = run_campaign(
-        sweep.tasks(), jobs=opts.jobs, store=opts.store()
-    ).raise_failures()
+    campaign = run_campaign(sweep.tasks()).raise_failures()
 
     rows = []
     data = {}
@@ -135,8 +129,6 @@ def run(fast: bool = True, seed: int = 0,
         f"{' -> '.join(f'{x:.2f}' for x in ratios_by_rate)}.",
         "This is the system-level consequence of the nonlinearity of "
         "Sec. IV-B: delay climates are cheaper than the sum of their delays.",
-        f"Campaign: {len(campaign)} runs, {campaign.n_cached} from cache, "
-        f"{campaign.n_executed} simulated on {campaign.jobs} worker(s).",
     ]
     return ExperimentResult(
         name="ext_campaign",

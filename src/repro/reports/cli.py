@@ -23,14 +23,7 @@ import argparse
 import json
 import sys
 
-from repro.cli import (
-    backoff_arg,
-    jobs_arg,
-    maybe_profiled,
-    open_store,
-    retries_arg,
-    retry_policy,
-)
+from repro.cli import add_run_flags, open_store, retry_policy, run_observed
 from repro.reports.compiler import compile_report
 from repro.reports.errors import ReportError
 from repro.reports.kernels import get_kernel, kernel_names
@@ -64,42 +57,9 @@ def build_report_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a report and print its table")
     p_run.add_argument("report", metavar="NAME_OR_FILE")
-    p_run.add_argument("--jobs", type=jobs_arg, default=1, metavar="N",
-                       help="worker processes for cache misses (0 = auto)")
-    p_run.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="content-addressed result store; cached runs "
-                            "are loaded with zero engine invocations")
     p_run.add_argument("--out", default=None, metavar="DIR",
                        help="write the report's declared artifacts below DIR")
-    p_run.add_argument("--profile", action="store_true",
-                       help="record telemetry (spans, cache hit rates) and "
-                            "print a summary; results are unchanged")
-    p_run.add_argument("--telemetry-out", default=None, metavar="FILE",
-                       help="write the run's telemetry JSONL here "
-                            "(implies --profile); inspect with "
-                            "'repro-experiment stats'")
-    p_run.add_argument("--progress", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="live progress line on stderr (default: auto "
-                            "when stderr is a TTY)")
-    p_run.add_argument("--retries", type=retries_arg, default=0, metavar="N",
-                       help="retry failed tasks up to N times with "
-                            "deterministic seed-jittered backoff (results "
-                            "are bit-identical to a first-attempt success)")
-    p_run.add_argument("--retry-backoff", type=backoff_arg, default=0.05,
-                       metavar="SECONDS",
-                       help="base backoff between retry attempts; doubles "
-                            "per attempt (default: 0.05)")
-    p_run.add_argument("--stall-action", choices=["warn", "retry"],
-                       default="warn",
-                       help="watchdog response to stalled tasks: warn only, "
-                            "or abandon the stalled block and re-dispatch "
-                            "its tasks (default: warn)")
-    p_run.add_argument("--resume", default=None, metavar="RUN_ID",
-                       help="resume an interrupted report run: simulated "
-                            "tasks are served from the run's cache, and the "
-                            "new ledger record links back via resumed_from "
-                            "(requires --cache-dir)")
+    add_run_flags(p_run)
     return parser
 
 
@@ -154,46 +114,24 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     spec = resolve_report(args.report)
     compiled = compile_report(spec)
-    from repro.obs import observe_run
-    from repro.runtime.store import StoreError
 
-    resumed = None
-    if args.resume:
-        if args.cache_dir is None:
-            print("report error: --resume requires --cache-dir: completed "
-                  "tasks are served from the result store of the "
-                  "interrupted run", file=sys.stderr)
-            return 2
-        from repro.obs.ledger import RunLedger
+    def report():
+        return run_report(
+            compiled, store=open_store(args.cache_dir), jobs=args.jobs,
+            retry=retry_policy(args), stall_action=args.stall_action,
+        )
 
-        try:
-            resumed = RunLedger(args.cache_dir).find(args.resume)
-        except KeyError as exc:
-            print(f"report error: {exc.args[0]}", file=sys.stderr)
-            return 2
+    def show(result, tracker):
+        print(result.render())
+        if args.out is not None:
+            from repro.reports.artifacts import write_artifacts
 
-    try:
-        with observe_run("report.run", spec.name, cache_dir=args.cache_dir,
-                         progress=args.progress) as tracker:
-            if resumed is not None:
-                tracker.set_resumed_from(resumed["id"])
-            with maybe_profiled(args, "report.run", tracker):
-                result = run_report(
-                    compiled, store=open_store(args.cache_dir), jobs=args.jobs,
-                    retry=retry_policy(args),
-                    stall_action=args.stall_action,
-                )
-            print(result.render())
-            if args.out is not None:
-                from repro.reports.artifacts import write_artifacts
+            for path in write_artifacts(result, args.out):
+                tracker.add_artifact(path)
+                print(f"[wrote {path}]")
 
-                for path in write_artifacts(result, args.out):
-                    tracker.add_artifact(path)
-                    print(f"[wrote {path}]")
-    except StoreError as exc:
-        print(f"store error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return run_observed(args, "report.run", spec.name, report, show,
+                        label="report")
 
 
 def report_main(argv: "list[str] | None" = None) -> int:

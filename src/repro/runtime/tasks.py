@@ -44,9 +44,10 @@ def ring_runtime(n_ranks, n_steps, t_exec, msg_size, delays, sim_seed) -> float:
     """Total runtime of one lockstep run on the canonical campaign ring.
 
     The shared geometry of the delay-campaign studies — a periodic
-    bidirectional distance-1 ring — lives here so that the experiment
-    drivers (``repro.experiments.ext_campaign``) and the runtime
-    benchmarks exercise one and the same configuration.
+    bidirectional distance-1 ring — lives here so that the in-process
+    ``ext_campaign`` driver and :func:`lockstep_delay_task`, the task the
+    runtime benchmarks shard and cache, exercise one and the same
+    configuration.
     """
     cfg = LockstepConfig(
         n_ranks=n_ranks, n_steps=n_steps, t_exec=t_exec, msg_size=msg_size,

@@ -21,14 +21,7 @@ import argparse
 import json
 import sys
 
-from repro.cli import (
-    backoff_arg,
-    jobs_arg,
-    maybe_profiled,
-    open_store,
-    retries_arg,
-    retry_policy,
-)
+from repro.cli import add_run_flags, open_store, retry_policy, run_observed
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.errors import ScenarioError
 from repro.scenarios.registry import (
@@ -65,71 +58,8 @@ def build_scenario_parser() -> argparse.ArgumentParser:
                        help="override the scenario's seed")
         p.add_argument("--engine", choices=["auto", "lockstep", "dag"],
                        default="auto", help="engine selection (default: auto)")
-        p.add_argument("--jobs", type=jobs_arg, default=1, metavar="N",
-                       help="worker processes for sweeps (0 = auto)")
-        p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="content-addressed result store for sweep runs")
-        p.add_argument("--profile", action="store_true",
-                       help="record telemetry (spans, cache hit rates) and "
-                            "print a summary; results are unchanged")
-        p.add_argument("--telemetry-out", default=None, metavar="FILE",
-                       help="write the run's telemetry JSONL here "
-                            "(implies --profile); inspect with "
-                            "'repro-experiment stats'")
-        p.add_argument("--progress", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="live progress line on stderr (default: auto "
-                            "when stderr is a TTY)")
-        p.add_argument("--retries", type=retries_arg, default=0, metavar="N",
-                       help="retry failed tasks up to N times with "
-                            "deterministic seed-jittered backoff (results "
-                            "are bit-identical to a first-attempt success)")
-        p.add_argument("--retry-backoff", type=backoff_arg, default=0.05,
-                       metavar="SECONDS",
-                       help="base backoff between retry attempts; doubles "
-                            "per attempt (default: 0.05)")
-        p.add_argument("--stall-action", choices=["warn", "retry"],
-                       default="warn",
-                       help="watchdog response to stalled tasks: warn only, "
-                            "or abandon the stalled block and re-dispatch "
-                            "its tasks (default: warn)")
-        p.add_argument("--resume", default=None, metavar="RUN_ID",
-                       help="resume an interrupted sweep: completed tasks "
-                            "are served from the run's cache, and the new "
-                            "ledger record links back via resumed_from "
-                            "(requires --cache-dir)")
+        add_run_flags(p)
     return parser
-
-
-def _resume_record(args, spec) -> "tuple[dict | None, str | None]":
-    """Resolve ``--resume RUN_ID`` to its ledger record.
-
-    Returns ``(record, None)`` on success and ``(None, message)`` when the
-    resume target is missing, ambiguous, or names a different sweep —
-    resuming a run whose grid does not hash to the same spec key would
-    silently execute the *wrong* campaign against the old cache.
-    """
-    if not getattr(args, "resume", None):
-        return None, None
-    if args.cache_dir is None:
-        return None, ("--resume requires --cache-dir: completed tasks are "
-                      "skipped via the result store of the interrupted run")
-    from repro.obs.ledger import RunLedger
-    from repro.scenarios.sweep import _sweep_spec_key, scenario_sweep_spec
-
-    try:
-        record = RunLedger(args.cache_dir).find(args.resume)
-    except KeyError as exc:
-        return None, str(exc.args[0])
-    sweep = scenario_sweep_spec(spec, base_seed=args.seed,
-                                engine=args.engine)
-    spec_key = _sweep_spec_key(sweep.tasks())
-    if record.get("spec_key") and record["spec_key"] != spec_key:
-        return None, (
-            f"run {record['id']} swept a different grid "
-            f"(spec_key {record['spec_key']}, this invocation {spec_key}); "
-            "pass the same scenario, --seed, and --engine to resume it")
-    return record, None
 
 
 def _cmd_list(args) -> int:
@@ -179,50 +109,40 @@ def _cmd_validate(args) -> int:
 
 def _observed_sweep(args, spec) -> int:
     """One observed sweep: recorder + progress + ledger + exit summary."""
-    from repro.obs import observe_run
-    from repro.runtime.store import StoreError
+    def spec_key():
+        from repro.scenarios.sweep import _sweep_spec_key, scenario_sweep_spec
 
-    resumed, problem = _resume_record(args, spec)
-    if problem is not None:
-        print(f"scenario error: {problem}", file=sys.stderr)
-        return 2
-    try:
-        with observe_run("scenario.sweep", spec.name,
-                         cache_dir=args.cache_dir,
-                         progress=args.progress) as tracker:
-            if resumed is not None:
-                tracker.set_resumed_from(resumed["id"])
-            with maybe_profiled(args, "scenario.sweep", tracker):
-                result = run_scenario_sweep(
-                    spec, base_seed=args.seed, engine=args.engine,
-                    jobs=args.jobs, store=open_store(args.cache_dir),
-                    retry=retry_policy(args),
-                    stall_action=args.stall_action,
-                )
-            tracker.set_retry_wasted(result.campaign.retry_wasted_s)
-            print(result.render())
-    except StoreError as exc:
-        print(f"store error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        sweep = scenario_sweep_spec(spec, base_seed=args.seed,
+                                    engine=args.engine)
+        return _sweep_spec_key(sweep.tasks())
+
+    def sweep():
+        return run_scenario_sweep(
+            spec, base_seed=args.seed, engine=args.engine,
+            jobs=args.jobs, store=open_store(args.cache_dir),
+            retry=retry_policy(args), stall_action=args.stall_action,
+        )
+
+    def show(result, tracker):
+        tracker.set_retry_wasted(result.campaign.retry_wasted_s)
+        print(result.render())
+
+    return run_observed(args, "scenario.sweep", spec.name, sweep, show,
+                        label="scenario", spec_key=spec_key)
 
 
 def _cmd_run(args) -> int:
     spec = resolve_scenario(args.scenario)
     if spec.sweep is not None:
         return _observed_sweep(args, spec)
-    if getattr(args, "resume", None):
+    if args.resume:
         print("scenario error: --resume only applies to sweeps (this "
               "scenario has no sweep block)", file=sys.stderr)
         return 2
-    from repro.obs import observe_run
-
-    with observe_run("scenario.run", spec.name, cache_dir=args.cache_dir,
-                     progress=args.progress) as tracker:
-        with maybe_profiled(args, "scenario.run", tracker):
-            run = run_scenario(spec, seed=args.seed, engine=args.engine)
-        print(run.render())
-    return 0
+    return run_observed(
+        args, "scenario.run", spec.name,
+        lambda: run_scenario(spec, seed=args.seed, engine=args.engine),
+        lambda run, tracker: print(run.render()), label="scenario")
 
 
 def _cmd_sweep(args) -> int:

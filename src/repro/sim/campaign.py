@@ -8,18 +8,20 @@ process in (rank, step) space with random durations — which is the regime
 of a production system suffering recurring long disturbances (cron storms,
 GC pauses, page-fault bursts).
 
-The accompanying analysis (``experiments/ext_campaign``) measures the
+The ``ext_campaign`` experiment driver measures the
 steady-state cost of such a delay climate and how background noise changes
 it: with many interacting waves, cancellations destroy part of each
 delay's idle budget, so the marginal cost of a delay *decreases* with the
 injection rate.
 
-Campaigns of many independent draws are orchestrated by the parallel
-campaign runtime (:mod:`repro.runtime`): declare the grid with
-:class:`repro.runtime.spec.SweepSpec`, execute with
-:func:`repro.runtime.executor.run_campaign`, and pass each task's derived
-integer seed straight to :meth:`DelayCampaign.draw` — integer seeds make
-draws bit-reproducible across worker processes.
+Campaigns of many independent draws are declared as a
+:class:`repro.runtime.spec.SweepSpec` grid and executed with
+:func:`repro.runtime.executor.run_campaign`: in-process by the
+``ext_campaign`` driver, sharded and cached by the bundled
+``campaign_rate_sweep`` scenario (``scenario sweep --jobs N --cache-dir
+DIR``).  Each task passes its derived integer seed straight to
+:meth:`DelayCampaign.draw` — integer seeds make draws bit-reproducible
+across worker processes.
 """
 
 from __future__ import annotations

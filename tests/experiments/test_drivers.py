@@ -1,24 +1,33 @@
-"""Smoke + shape tests for every experiment driver.
+"""Smoke + shape tests for every paper figure.
 
 Each driver must run in its fast variant and produce the paper's
-qualitative shape; the render must be printable text.
+qualitative shape; the render must be printable text.  Fig. 4 and Fig. 7
+are reproduced by bundled specs (the ``fig4``/``fig7`` CLI aliases); their
+shape tests run those specs.
 """
-
-import math
 
 import pytest
 
+from repro.cli import FIGURE_ALIASES, main
+from repro.core import default_threshold, wave_front
 from repro.experiments import EXPERIMENTS, run_experiment
+from repro.reports import compile_report, load_bundled_report, run_report
+from repro.scenarios import load_bundled_scenario, run_scenario
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_driver_runs_and_renders(name):
+@pytest.mark.parametrize("name", sorted({*EXPERIMENTS, *FIGURE_ALIASES}))
+def test_driver_runs_and_renders(name, capsys):
     if name in ("fig1", "fig2"):
         pytest.skip("covered by the dedicated shape tests below (slow)")
-    result = run_experiment(name, fast=True)
-    text = result.render()
-    assert result.name == name
-    assert result.tables
+    if name in FIGURE_ALIASES:
+        assert main([name]) == 0
+        text = capsys.readouterr().out
+        assert f"[{name} completed" in text
+    else:
+        result = run_experiment(name, fast=True)
+        text = result.render()
+        assert result.name == name
+        assert result.tables
     assert isinstance(text, str) and len(text) > 100
 
 
@@ -43,9 +52,13 @@ class TestFig3Shape:
 
 class TestFig4Shape:
     def test_speed_matches_model(self):
-        r = run_experiment("fig4", fast=True)
-        assert r.data["speed"] == pytest.approx(r.data["model_speed"], rel=0.01)
-        assert r.data["downward_reach"] == 0
+        run = run_scenario(load_bundled_scenario("fig4_single_delay"))
+        wave = run.data["wave_speed"]
+        assert wave["measured_speed"] == \
+            pytest.approx(wave["predicted_speed"], rel=0.01)
+        down = wave_front(run.timing, source=5, direction=-1,
+                          threshold=default_threshold(run.timing))
+        assert down.reach == 0
 
 
 class TestFig5Shape:
@@ -82,8 +95,12 @@ class TestFig6Shape:
 
 class TestFig7Shape:
     def test_ratio_two(self):
-        r = run_experiment("fig7", fast=True)
-        assert r.data["ratio"] == pytest.approx(2.0, rel=0.01)
+        report = run_report(compile_report(load_bundled_report("fig7_speed")))
+        speed = {row.group["comm.direction"]:
+                 row.values["wave_speed.measured_speed.mean"]
+                 for row in report.rows}
+        ratio = speed["bidirectional"] / speed["unidirectional"]
+        assert ratio == pytest.approx(2.0, rel=0.01)
 
 
 class TestEq2Shape:

@@ -61,6 +61,17 @@ class TestExtCampaign:
         dense = result.data[max(result.data)]
         assert dense["cost_ratio"] < 0.5
 
+    def test_fast_data_is_pinned(self, result):
+        """The in-process scan derives the same per-run seeds as the
+        runtime-backed one it replaced, so its values are bit-identical."""
+        assert result.data == {
+            0.001: {"cost_ratio": 0.9999999999999941,
+                    "mean_delays": 1.3333333333333333},
+            0.01: {"cost_ratio": 0.33907477930212127, "mean_delays": 20.0},
+            0.03: {"cost_ratio": 0.22263343204010705, "mean_delays": 53.75},
+            0.08: {"cost_ratio": 0.12809251495664584, "mean_delays": 153.75},
+        }
+
 
 class TestExtMembound:
     @pytest.fixture(scope="class")

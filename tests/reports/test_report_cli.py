@@ -115,6 +115,25 @@ class TestResume:
         assert "no run 'nosuchrun'" in capsys.readouterr().err
 
 
+    def test_resume_of_a_different_report_is_refused(self, tmp_path,
+                                                      capsys):
+        """A fig7_speed run cannot be resumed as fig8_decay: the ledger
+        record's kind and name must match this invocation's."""
+        from repro.obs.ledger import RunLedger
+
+        cache = str(tmp_path / "cache")
+        assert report_main(["run", "fig7_speed", "--cache-dir", cache]) == 0
+        (first,) = RunLedger(cache).records()
+        capsys.readouterr()
+        assert report_main(["run", "fig8_decay", "--cache-dir", cache,
+                            "--resume", first["id"]]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"report error: run {first['id']} is a report.run of " \
+               "'fig7_speed', not a report.run of 'fig8_decay'" in err
+        assert len(list(RunLedger(cache).records())) == 1
+
+
 class TestMainWiring:
     def test_main_dispatches_report(self, capsys):
         assert repro_main(["report", "list"]) == 0

@@ -76,6 +76,31 @@ class TestResume:
         # No second ledger record was written for the refused run.
         assert len(_run_ids(cache)) == 1
 
+    def test_resume_of_a_report_run_is_refused(self, tmp_path, capsys):
+        """Report records carry no spec key, so the grid check alone would
+        let a sweep adopt one: kind and name must match too."""
+        cache = tmp_path / "store"
+        assert main(["report", "run", "fig7_speed",
+                     "--cache-dir", str(cache)]) == 0
+        (report_id,) = _run_ids(cache)
+        capsys.readouterr()
+        assert main(["scenario", "sweep", "fig8_decay_rate",
+                     "--cache-dir", str(cache), "--resume", report_id]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "not a scenario.sweep of 'fig8_decay_rate'" in err
+        assert _run_ids(cache) == [report_id]
+
+    def test_resume_of_another_scenario_is_refused(self, tmp_path, capsys):
+        cache = tmp_path / "store"
+        assert _sweep(cache) == 0
+        (first_id,) = _run_ids(cache)
+        capsys.readouterr()
+        assert main(["scenario", "sweep", "fig7_speed_d2",
+                     "--cache-dir", str(cache), "--resume", first_id]) == 2
+        assert f"is a scenario.sweep of '{SWEEP}'" in capsys.readouterr().err
+        assert _run_ids(cache) == [first_id]
+
     def test_resume_rejected_for_non_sweep_scenarios(self, capsys):
         assert main(["scenario", "run", "fig4_single_delay",
                      "--resume", "run-deadbeef"]) == 2
