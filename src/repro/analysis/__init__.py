@@ -1,39 +1,14 @@
 """Analysis utilities shared by the experiments: histograms, statistics,
 Fourier spectra of desync patterns, and timeline extraction."""
 
-from repro.analysis.desync import desync_onset, overlap_efficiency, skew_spread
-from repro.analysis.fourier import (
-    SkewSpectrum,
-    dominant_wavelength,
-    skew_profile,
-    skew_spectrum,
-)
-from repro.analysis.histogram import NoiseHistogram, collect_noise_samples
-from repro.analysis.statistics import RunStatistics, summarize, sweep_statistics
-from repro.analysis.timeline import (
-    IntervalKind,
-    TimelineInterval,
-    full_timeline,
-    rank_timeline,
-    snapshot_positions,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IntervalKind",
-    "NoiseHistogram",
-    "RunStatistics",
-    "SkewSpectrum",
-    "TimelineInterval",
-    "collect_noise_samples",
-    "desync_onset",
-    "dominant_wavelength",
-    "full_timeline",
-    "overlap_efficiency",
-    "rank_timeline",
-    "skew_profile",
-    "skew_spectrum",
-    "skew_spread",
-    "snapshot_positions",
-    "summarize",
-    "sweep_statistics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".desync": ("desync_onset", "overlap_efficiency", "skew_spread"),
+    ".fourier": ("SkewSpectrum", "dominant_wavelength", "skew_profile",
+                 "skew_spectrum"),
+    ".histogram": ("NoiseHistogram", "collect_noise_samples"),
+    ".statistics": ("RunStatistics", "summarize", "sweep_statistics"),
+    ".timeline": ("IntervalKind", "TimelineInterval", "full_timeline",
+                  "rank_timeline", "snapshot_positions"),
+})

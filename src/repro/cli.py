@@ -56,8 +56,6 @@ import json
 import sys
 import time
 
-from repro.experiments import EXPERIMENTS, experiment_descriptions, run_experiment
-
 __all__ = ["FIGURE_ALIASES", "main", "build_parser", "add_run_flags",
            "open_store", "retry_policy", "run_observed"]
 
@@ -246,6 +244,8 @@ def run_observed(args, kind: str, name: str, compute, show, *,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog="repro-experiment",
         description=(
@@ -303,6 +303,8 @@ def _alias_description(name: str) -> str:
 
 
 def _list_experiments(as_json: bool) -> int:
+    from repro.experiments import experiment_descriptions
+
     descriptions = experiment_descriptions()
     descriptions.update({name: _alias_description(name)
                          for name in FIGURE_ALIASES})
@@ -322,6 +324,8 @@ def _list_experiments(as_json: bool) -> int:
 def _run_figure(name: str, args) -> None:
     """Run one figure id and print its output; raises on failure."""
     if name not in FIGURE_ALIASES:
+        from repro.experiments import run_experiment
+
         print(run_experiment(name, fast=not args.full, seed=args.seed).render())
         return
     command, bundled = FIGURE_ALIASES[name]
@@ -373,6 +377,8 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     if args.experiment == "list":
         return _list_experiments(args.as_json)
+
+    from repro.experiments import EXPERIMENTS
 
     run_all = args.experiment == "all"
     names = sorted({*EXPERIMENTS, *FIGURE_ALIASES}) if run_all \

@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sim.engine import DagResult
 from repro.sim.lockstep import LockstepResult
-from repro.sim.trace import Trace
 
 __all__ = ["RunTiming"]
 
@@ -67,7 +65,7 @@ class RunTiming:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_trace(cls, trace: Trace) -> "RunTiming":
+    def from_trace(cls, trace: "Trace") -> "RunTiming":
         completion = trace.completion_matrix()
         idle = trace.idle_matrix()
         return cls(
@@ -87,7 +85,7 @@ class RunTiming:
         )
 
     @classmethod
-    def from_dag(cls, result: DagResult) -> "RunTiming":
+    def from_dag(cls, result: "DagResult") -> "RunTiming":
         """Adopt a columnar DAG-engine result — no trace records involved.
 
         Bitwise identical to ``from_trace(simulate(...))`` for the same
@@ -106,10 +104,13 @@ class RunTiming:
         """Coerce any supported run representation to a :class:`RunTiming`."""
         if isinstance(run, RunTiming):
             return run
-        if isinstance(run, Trace):
-            return cls.from_trace(run)
         if isinstance(run, LockstepResult):
             return cls.from_lockstep(run)
+        from repro.sim.engine import DagResult
+        from repro.sim.trace import Trace
+
+        if isinstance(run, Trace):
+            return cls.from_trace(run)
         if isinstance(run, DagResult):
             return cls.from_dag(run)
         raise TypeError(f"cannot derive timing from {type(run).__name__}")

@@ -22,23 +22,12 @@ bytes the store persists (enforced by ``tests/scenarios/test_batch.py``
 and ``benchmarks/bench_obs.py``).
 """
 
-from repro.obs.ledger import (
-    RUN_RECORD_VERSION,
-    RunLedger,
-    RunTracker,
-    render_run_summary,
-)
-from repro.obs.progress import ProgressRenderer
-from repro.obs.session import observe_run
-from repro.telemetry.recorder import EVENT_VERSION, KNOWN_EVENTS
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_VERSION",
-    "KNOWN_EVENTS",
-    "ProgressRenderer",
-    "RUN_RECORD_VERSION",
-    "RunLedger",
-    "RunTracker",
-    "observe_run",
-    "render_run_summary",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".ledger": ("RUN_RECORD_VERSION", "RunLedger", "RunTracker",
+                "render_run_summary"),
+    ".progress": ("ProgressRenderer",),
+    ".session": ("observe_run",),
+    "repro.telemetry.recorder": ("EVENT_VERSION", "KNOWN_EVENTS"),
+})

@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from repro import telemetry
 from repro.obs.ledger import RunLedger, RunTracker, new_run_id, \
     render_run_summary
-from repro.obs.progress import ProgressRenderer
 
 __all__ = ["observe_run"]
 
@@ -59,6 +58,8 @@ def observe_run(kind: str, name: str, cache_dir=None,
     rec.subscribe(tracker.handle)
     renderer = None
     if progress:
+        from repro.obs.progress import ProgressRenderer
+
         renderer = ProgressRenderer(stream=stream)
         rec.subscribe(renderer.handle)
 

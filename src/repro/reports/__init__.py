@@ -30,57 +30,19 @@ Typical use::
     print(result.render())
 """
 
-from repro.reports.artifacts import write_artifacts
-from repro.reports.compiler import (
-    CompiledReport,
-    ReportTarget,
-    ResolvedMetric,
-    compile_report,
-)
-from repro.reports.errors import ReportError
-from repro.reports.kernels import (
-    MetricContext,
-    MetricKernel,
-    batched_wave_front,
-    get_kernel,
-    kernel_names,
-    register_kernel,
-)
-from repro.reports.loader import load_report_file, parse_report_text
-from repro.reports.registry import (
-    bundled_report_names,
-    iter_bundled_reports,
-    load_bundled_report,
-    resolve_report,
-)
-from repro.reports.runner import ReportResult, ReportRow, run_report
-from repro.reports.spec import ArtifactRequest, MetricRequest, ReportSpec
-from repro.reports.timing import BatchedTiming
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactRequest",
-    "BatchedTiming",
-    "CompiledReport",
-    "MetricContext",
-    "MetricKernel",
-    "MetricRequest",
-    "ReportError",
-    "ReportResult",
-    "ReportRow",
-    "ReportSpec",
-    "ReportTarget",
-    "ResolvedMetric",
-    "batched_wave_front",
-    "bundled_report_names",
-    "compile_report",
-    "get_kernel",
-    "iter_bundled_reports",
-    "kernel_names",
-    "load_bundled_report",
-    "load_report_file",
-    "parse_report_text",
-    "register_kernel",
-    "resolve_report",
-    "run_report",
-    "write_artifacts",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".artifacts": ("write_artifacts",),
+    ".compiler": ("CompiledReport", "ReportTarget", "ResolvedMetric",
+                  "compile_report"),
+    ".errors": ("ReportError",),
+    ".kernels": ("MetricContext", "MetricKernel", "batched_wave_front",
+                 "get_kernel", "kernel_names", "register_kernel"),
+    ".loader": ("load_report_file", "parse_report_text"),
+    ".registry": ("bundled_report_names", "iter_bundled_reports",
+                  "load_bundled_report", "resolve_report"),
+    ".runner": ("ReportResult", "ReportRow", "run_report"),
+    ".spec": ("ArtifactRequest", "MetricRequest", "ReportSpec"),
+    ".timing": ("BatchedTiming",),
+})

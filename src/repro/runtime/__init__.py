@@ -44,60 +44,17 @@ Typical use::
     runtimes = [v["runtime"] for v in campaign.values()]
 """
 
-from repro.runtime.aggregate import (
-    AggregationError,
-    collect,
-    group_by_param,
-    reduce_runs,
-    summarize,
-)
-from repro.runtime.chaos import ChaosError, ChaosSpec
-from repro.runtime.executor import (
-    QUARANTINE_AFTER,
-    CampaignResult,
-    TaskBatcher,
-    TaskError,
-    TaskResult,
-    resolve_jobs,
-    run_campaign,
-)
-from repro.runtime.retry import RetryPolicy
-from repro.runtime.seeding import derive_rng, derive_seed, seed_sequence
-from repro.runtime.spec import RunSpec, SweepSpec, canonical, spec_key
-from repro.runtime.store import (
-    GcStats,
-    MigrateStats,
-    ResultStore,
-    StoreEntry,
-    StoreError,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AggregationError",
-    "CampaignResult",
-    "ChaosError",
-    "ChaosSpec",
-    "GcStats",
-    "MigrateStats",
-    "QUARANTINE_AFTER",
-    "ResultStore",
-    "RetryPolicy",
-    "StoreEntry",
-    "StoreError",
-    "RunSpec",
-    "SweepSpec",
-    "TaskBatcher",
-    "TaskError",
-    "TaskResult",
-    "canonical",
-    "collect",
-    "derive_rng",
-    "derive_seed",
-    "group_by_param",
-    "reduce_runs",
-    "resolve_jobs",
-    "run_campaign",
-    "seed_sequence",
-    "spec_key",
-    "summarize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".aggregate": ("AggregationError", "collect", "group_by_param",
+                   "reduce_runs", "summarize"),
+    ".chaos": ("ChaosError", "ChaosSpec"),
+    ".executor": ("QUARANTINE_AFTER", "CampaignResult", "TaskBatcher",
+                  "TaskError", "TaskResult", "resolve_jobs", "run_campaign"),
+    ".retry": ("RetryPolicy",),
+    ".seeding": ("derive_rng", "derive_seed", "seed_sequence"),
+    ".spec": ("RunSpec", "SweepSpec", "canonical", "spec_key"),
+    ".store": ("GcStats", "MigrateStats", "ResultStore", "StoreEntry",
+               "StoreError"),
+})

@@ -60,8 +60,6 @@ import time
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -646,6 +644,9 @@ def _run_pool(
     Returns ``{"respawns": ..., "redispatched": ...}`` — the recovery
     economics :func:`run_campaign` folds into the campaign result.
     """
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     max_workers = min(jobs, len(units))
     window = max_workers * _INFLIGHT_PER_JOB
     pending: "deque" = deque(units)

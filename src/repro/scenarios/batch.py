@@ -29,6 +29,12 @@ from typing import Mapping, Sequence
 
 from repro.runtime.executor import TaskBatcher, contiguous_blocks
 from repro.runtime.spec import RunSpec, hashable
+# Every block runs through these modules: loaded here, pool workers
+# forked after this import inherit them instead of each importing them
+# again.  Runner functions are looked up at call time.
+from repro.scenarios import runner
+from repro.scenarios.compiler import compile_scenario
+from repro.scenarios.tasks import outputs_value, resolve_task_scenario
 
 __all__ = ["MAX_BLOCK", "SCENARIO_TASK_FN", "ScenarioTaskBatcher",
            "SeedBlockBatcher"]
@@ -85,19 +91,12 @@ class SeedBlockBatcher(TaskBatcher):
         randomness as the task function, so each returned value is
         bit-identical to the corresponding per-task call.
         """
-        from repro.scenarios.compiler import compile_scenario
-        from repro.scenarios.runner import (
-            prepare_scenario_run,
-            simulate_prepared,
-        )
-        from repro.scenarios.tasks import resolve_task_scenario
-
         first = specs[0].kwargs
         spec = resolve_task_scenario(first["scenario"], first.get("overrides"))
         compiled = compile_scenario(spec, engine=first.get("engine", "auto"))
-        prepared = [prepare_scenario_run(compiled, _task_seed(s))
+        prepared = [runner.prepare_scenario_run(compiled, _task_seed(s))
                     for s in specs]
-        timings = simulate_prepared(compiled, prepared)
+        timings = runner.simulate_prepared(compiled, prepared)
         return [self.task_value(task, compiled, p, t)
                 for task, p, t in zip(specs, prepared, timings)]
 
@@ -112,8 +111,5 @@ class ScenarioTaskBatcher(SeedBlockBatcher):
     task_fn = SCENARIO_TASK_FN
 
     def task_value(self, task, compiled, prepared, timing):
-        from repro.scenarios.runner import finish_scenario_run
-        from repro.scenarios.tasks import outputs_value
-
-        run = finish_scenario_run(compiled, prepared, timing)
+        run = runner.finish_scenario_run(compiled, prepared, timing)
         return outputs_value(run, task.kwargs.get("replicate", 0))

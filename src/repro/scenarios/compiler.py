@@ -34,7 +34,6 @@ from repro.scenarios.errors import ScenarioError
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.campaign import DelayCampaign
 from repro.sim.delay import DelaySpec
-from repro.sim.engine import SimConfig
 from repro.sim.mpi import DEFAULT_EAGER_LIMIT, Protocol, select_protocol
 from repro.sim.network import NetworkModel, UniformNetwork
 from repro.sim.noise import (
@@ -47,7 +46,6 @@ from repro.sim.noise import (
 )
 from repro.sim.program import CommPattern, Direction, LockstepConfig
 from repro.sim.topology import CommDomain, ProcessMapping
-from repro.workloads import DivideWorkload, LbmWorkload, TriadWorkload
 
 __all__ = ["CompiledScenario", "compile_scenario", "lockstep_eligible"]
 
@@ -100,7 +98,7 @@ class CompiledScenario:
         """One message's end-to-end time — the ``T_comm`` of Eq. 2."""
         return self.network.total_pingpong_time(self.cfg.msg_size, self.domain)
 
-    def sim_config(self) -> SimConfig:
+    def sim_config(self) -> "SimConfig":
         """The DAG engine configuration for this scenario.
 
         Shared by every forced-DAG execution path (serial runs, batched
@@ -108,6 +106,8 @@ class CompiledScenario:
         — which includes the network/mapping/protocol configuration —
         is identical across them.
         """
+        from repro.sim.engine import SimConfig
+
         return SimConfig(
             network=self.network,
             mapping=self.mapping,
@@ -148,9 +148,13 @@ def _resolve_workload(spec: ScenarioSpec, machine: "MachineSpec | None") -> "tup
             path="workload.kind", scenario=spec.name,
         )
     if w.kind == "divide":
+        from repro.workloads.divide import DivideWorkload
+
         workload = DivideWorkload.for_duration(machine.cpu, w.t_exec)
         return workload.ideal_duration, _DEFAULT_MSG_SIZE
     if w.kind == "stream":
+        from repro.workloads.stream import TriadWorkload
+
         triad = TriadWorkload(
             n_elements=w.n_elements if w.n_elements is not None else 50_000_000,
             v_net=w.v_net if w.v_net is not None else 2_000_000,
@@ -166,6 +170,8 @@ def _resolve_workload(spec: ScenarioSpec, machine: "MachineSpec | None") -> "tup
             "threads) it must be decomposed over",
             path="workload.lbm_domain", scenario=spec.name,
         )
+    from repro.workloads.lbm import LbmWorkload
+
     lbm = LbmWorkload(domain=tuple(domain3), n_ranks=total_cores)
     t_exec = lbm.work_bytes_per_rank / machine.b_core
     return t_exec, int(lbm.halo_bytes)
@@ -307,6 +313,11 @@ def compile_scenario(spec: ScenarioSpec, engine: str = "auto") -> CompiledScenar
 
     eligible = lockstep_eligible(spec)
     chosen = engine if engine != "auto" else ("lockstep" if eligible else "dag")
+    if chosen == "dag":
+        # Every run of this scenario goes through the DAG engine: load it
+        # with the compile, which a campaign does before its pool forks,
+        # so workers inherit it instead of each importing it.
+        import repro.sim.engine  # noqa: F401
 
     # Hierarchical placement resolves against the preset's per-domain
     # network on both engines; flat scenarios keep the collapsed uniform

@@ -11,10 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.desync import desync_onset, overlap_efficiency, skew_spread
-from repro.analysis.histogram import NoiseHistogram
 from repro.core.speed import silent_speed_for
 from repro.core.timing import RunTiming
-from repro.viz import render_histogram, render_timeline
 
 __all__ = ["compute_outputs"]
 
@@ -34,6 +32,8 @@ def _runtime_output(compiled, timing: RunTiming, run) -> "tuple[dict, str | None
 
 
 def _timeline_output(compiled, timing: RunTiming, run) -> "tuple[dict, str | None]":
+    from repro.viz.ascii_timeline import render_timeline
+
     text = render_timeline(timing, width=90, base_exec=compiled.t_exec)
     return {"n_ranks": timing.n_ranks, "n_steps": timing.n_steps}, text
 
@@ -43,6 +43,9 @@ def _histogram_output(compiled, timing: RunTiming, run) -> "tuple[dict, str | No
     if idle.size == 0:
         return {"n_idle_periods": 0, "mean_idle": 0.0, "max_idle": 0.0}, \
             "(no idle periods — the run stayed in lockstep)"
+    from repro.analysis.histogram import NoiseHistogram
+    from repro.viz.ascii_histogram import render_histogram
+
     hist = NoiseHistogram.from_samples(idle, bin_width=max(float(idle.max()) / 40, 1e-9))
     data = {
         "n_idle_periods": int(idle.size),

@@ -35,8 +35,6 @@ from repro.core.timing import RunTiming
 from repro.scenarios.compiler import CompiledScenario, compile_scenario
 from repro.scenarios.outputs import compute_outputs
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.engine import simulate_dag_batch
-from repro.sim.hybrid import HybridConfig, hybrid_exec_times
 from repro.sim.lockstep import simulate_lockstep_batch
 
 __all__ = ["PreparedRun", "ScenarioRun", "run_scenario", "run_scenario_batch",
@@ -125,6 +123,8 @@ def _prepare_scenario_run_inner(
         cfg = replace(cfg, seed=run_seed)
 
     if compiled.threads > 1:
+        from repro.sim.hybrid import HybridConfig, hybrid_exec_times
+
         hybrid = HybridConfig(
             n_processes=cfg.n_ranks, threads=compiled.threads,
             n_steps=cfg.n_steps, t_exec=cfg.t_exec, msg_size=cfg.msg_size,
@@ -169,6 +169,8 @@ def simulate_prepared(
             )
             from_result = RunTiming.from_lockstep
         else:
+            from repro.sim.engine import simulate_dag_batch
+
             batch = simulate_dag_batch(compiled.cfg, stacked,
                                        compiled.sim_config())
             from_result = RunTiming.from_dag

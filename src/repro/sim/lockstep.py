@@ -55,7 +55,6 @@ from repro.sim.program import (
     build_exec_times,
 )
 from repro.sim.topology import CommDomain, ProcessMapping
-from repro.sim.trace import Trace
 
 __all__ = [
     "BatchedLockstepResult",
@@ -94,12 +93,14 @@ class LockstepResult:
         """Wall-clock completion of the last rank."""
         return float(self.completion[:, -1].max())
 
-    def to_trace(self) -> Trace:
+    def to_trace(self) -> "Trace":
         """Convert to a :class:`~repro.sim.trace.Trace` (COMP + WAITALL records).
 
         The per-message ISEND/IRECV records are not materialized — the
         analysis layer only consumes execution and wait timings.
         """
+        from repro.sim.trace import Trace
+
         return Trace.from_matrices(
             exec_start=self.exec_start,
             exec_end=self.exec_end,

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping
 
-from .recorder import SNAPSHOT_VERSION
+from .recorder import SNAPSHOT_VERSION, current_recorder, disable, enable
 
-__all__ = ["read_jsonl", "render_summary", "write_jsonl"]
+__all__ = ["profiled", "read_jsonl", "render_summary", "write_jsonl"]
 
 
 def write_jsonl(snapshot: Mapping, path, label: str = "") -> Path:
@@ -248,3 +249,49 @@ def render_summary(snapshot: Mapping) -> str:
                        f"  mean {fmt(h['mean'])}"
                        f"  max {fmt(h['max'])}")
     return "\n".join(out)
+
+
+@contextmanager
+def profiled(label: str, out=None, cache_dir=None, echo=print,
+             on_write=None):
+    """Record one profiled run and flush it to sinks on exit.
+
+    Reuses the live recorder when there is one (the CLI nests
+    ``profiled`` inside ``observe_run``, which enabled it), else enables
+    a fresh one and disables it again on exit.  Opens a root span named
+    ``label`` and yields the recorder.  On exit (even via an exception)
+    the recorder is snapshotted — spans, counters, and the lifecycle
+    events recorded so far, on one timeline — the JSONL export is
+    written to ``out`` (``--telemetry-out``) and/or persisted under
+    ``<cache_dir>/telemetry/<label>-<unix>.jsonl`` next to the store
+    artifacts, and the summary table is printed through ``echo`` (pass
+    ``echo=None`` to silence it).  ``on_write`` is called with each
+    written path — the run ledger uses it to record where a run's
+    telemetry landed.
+    """
+    rec = current_recorder()
+    owns = rec is None
+    if owns:
+        rec = enable()
+    try:
+        with rec.span(label):
+            yield rec
+    finally:
+        snap = rec.snapshot()
+        if owns:
+            disable()
+        paths = []
+        if out:
+            paths.append(write_jsonl(snap, out, label=label))
+        if cache_dir:
+            stamp = int(snap.get("wall0") or time.time())
+            paths.append(write_jsonl(
+                snap, Path(cache_dir) / "telemetry" / f"{label}-{stamp}.jsonl",
+                label=label))
+        if on_write is not None:
+            for p in paths:
+                on_write(p)
+        if echo is not None:
+            echo(render_summary(snap))
+            for p in paths:
+                echo(f"[telemetry written to {p}]")

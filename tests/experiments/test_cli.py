@@ -146,7 +146,6 @@ class TestMainFailureHandling:
             {"fig9": experiments.EXPERIMENTS["fig9"],
              "eq2": experiments.EXPERIMENTS["eq2"]},
         )
-        monkeypatch.setattr("repro.cli.EXPERIMENTS", experiments.EXPERIMENTS)
 
         assert main(["all"]) == 1
         out = capsys.readouterr().out

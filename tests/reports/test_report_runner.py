@@ -156,7 +156,6 @@ class TestStoreBacked:
         monkeypatch.setattr(engine_mod, "simulate_dag", boom)
         monkeypatch.setattr(engine_mod, "simulate_dag_batch", boom)
         monkeypatch.setattr(runner_mod, "simulate_lockstep_batch", boom)
-        monkeypatch.setattr(runner_mod, "simulate_dag_batch", boom)
         monkeypatch.setattr(runner_mod, "prepare_scenario_run", boom)
 
         warm = run_report(compiled, store=store)
